@@ -1,211 +1,114 @@
-"""Enumeration kernels: numba-compiled with a pure-numpy fallback.
-
-Both backends implement identical semantics and tie-breaks. The numba path is
-used when available unless SHIMONY_NO_NUMBA is set to a truthy value. Results
-are exact: the numba kernels accumulate in int64, and the numpy fallback's
-float64 matmuls stay far below 2**53 so every intermediate integer is exact.
+"""Exact enumeration kernels over Alice's 2**n deterministic assignments.
 
 Assignments are indexed so that bit n-1-i holds Alice setting i (clear bit is
 -1); numeric index order is then lexicographic order with -1 < +1.
+
+Two exact reductions keep the scan cheap without changing any result:
+
+* Sign symmetry. A and -A score the same, and of each pair the smaller index
+  has setting 0 = -1, so the smallest maximizer lies below 2**(n-1). Only that
+  half is scanned.
+* Meet in the middle (Horowitz & Sahni, J. ACM 21, 1974). The other n-1
+  settings split into a high prefix and the last `lo` settings. A table over
+  each half holds its contribution (integer column sums for LHV, resultants of
+  the rows of m @ bob for steering), so an assignment costs one add and a
+  reduction over n (or 3) entries instead of an n x n product.
+
+LHV sums stay exact integers. The steering norms are float64, and the witness
+is the smallest index within STEERING_TIE_TOL of the maximum; callers
+recompute the reported value from that witness's integer column sums.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - sandbox always has numba
-    HAS_NUMBA = False
-
-_CHUNK_BITS = 16
 
 # Absolute tolerance for "same norm" when picking the lexicographically
 # smallest steering witness among float ties.
 STEERING_TIE_TOL = 1e-12
 
+# Assignments scored per block; bounds the working set of one block.
+_BLOCK_ASSIGNMENTS = 1 << 14
 
-def _env_disables_numba(value: str | None) -> bool:
-    return value is not None and value.strip().lower() not in {"", "0", "false", "no", "off"}
-
-
-USE_NUMBA = HAS_NUMBA and not _env_disables_numba(os.environ.get("SHIMONY_NO_NUMBA"))
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy fallback
+# Read-only, so callers may share it; under the 24-setting enumeration cap
+# k <= 12, which keeps the cache below 1 MB.
+@lru_cache(maxsize=None)
+def _signs(k: int) -> np.ndarray:
+    """(k, 2**k) signs: column t holds bit k-1-i of t as row i (clear bit is -1)."""
+    bits = (np.arange(1 << k, dtype=np.int64) >> np.arange(k - 1, -1, -1)[:, None]) & 1
+    signs = 2 * bits - 1
+    signs.setflags(write=False)
+    return signs
 
 
-def _sign_chunk(start: int, count: int, shifts: np.ndarray) -> np.ndarray:
-    idx = np.arange(start, start + count, dtype=np.int64)
-    return (((idx[:, None] >> shifts) & 1) * 2 - 1).astype(np.float64)
+def _halves(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Tables over the scanned half, setting 0 fixed to -1: (cols, 2**hi) and (cols, 2**lo).
 
-
-def lhv_max_numpy(m: np.ndarray) -> tuple[int, int]:
-    """Max over assignments of sum_j |column sum|, with the smallest index."""
-    n = m.shape[0]
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    mf = m.astype(np.float64)
-    chunk = 1 << min(n, _CHUNK_BITS)
-    best = -1.0
-    best_index = 0
-    for start in range(0, 1 << n, chunk):
-        values = np.abs(_sign_chunk(start, chunk, shifts) @ mf).sum(axis=1)
-        k = int(np.argmax(values))  # first max within the chunk
-        if values[k] > best:
-            best = float(values[k])
-            best_index = start + k
-    return int(round(best)), best_index
-
-
-def steering_max_numpy(
-    m: np.ndarray, bob: np.ndarray, tie_tol: float = STEERING_TIE_TOL
-) -> tuple[float, int]:
-    """Max over assignments of ||sum_j c_j b_j||, smallest index within tie_tol."""
-    n = m.shape[0]
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    mf = m.astype(np.float64)
-    b = np.ascontiguousarray(bob, dtype=np.float64)
-    chunk = 1 << min(n, _CHUNK_BITS)
-
-    def chunk_norms(start: int) -> np.ndarray:
-        resultants = (_sign_chunk(start, chunk, shifts) @ mf) @ b
-        return np.sqrt((resultants * resultants).sum(axis=1))
-
-    best = -np.inf
-    for start in range(0, 1 << n, chunk):
-        best = max(best, float(chunk_norms(start).max()))
-    threshold = best - tie_tol
-    for start in range(0, 1 << n, chunk):
-        norms = chunk_norms(start)
-        hits = np.nonzero(norms >= threshold)[0]
-        if hits.size:
-            k = int(hits[0])
-            return float(norms[k]), start + k
-    raise AssertionError("maximum vanished between passes")
-
-
-# ---------------------------------------------------------------------------
-# numba kernels (Gray-code walk, exact integer column sums)
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _lhv_gray(m):
-        n = m.shape[0]
-        col = np.empty(n, np.int64)
-        for j in range(n):
-            s = 0
-            for i in range(n):
-                s -= m[i, j]  # index 0 is the all -1 assignment
-            col[j] = s
-        best = 0
-        for j in range(n):
-            best += abs(col[j])
-        best_index = 0
-        index = 0
-        for step in range(1, 1 << n):
-            k = 0
-            s = step
-            while s & 1 == 0:
-                s >>= 1
-                k += 1
-            index ^= 1 << k
-            i = n - 1 - k
-            delta = 2 if (index >> k) & 1 else -2
-            value = 0
-            for j in range(n):
-                col[j] += delta * m[i, j]
-                value += abs(col[j])
-            if value > best or (value == best and index < best_index):
-                best = value
-                best_index = index
-        return best, best_index
-
-    @njit(cache=True)
-    def _steering_gray(m, bob, tie_tol):
-        n = m.shape[0]
-        col = np.empty(n, np.int64)
-
-        best = -1.0
-        best_index = 0
-        value_at_best = -1.0
-        # Pass 1 finds the maximum norm, pass 2 the smallest index within
-        # tie_tol of it.
-        for scan in range(2):
-            for j in range(n):
-                s = 0
-                for i in range(n):
-                    s -= m[i, j]
-                col[j] = s
-            index = 0
-            threshold = best - tie_tol
-            step = 0
-            while True:
-                rx = 0.0
-                ry = 0.0
-                rz = 0.0
-                for j in range(n):
-                    c = col[j]
-                    rx += c * bob[j, 0]
-                    ry += c * bob[j, 1]
-                    rz += c * bob[j, 2]
-                value = np.sqrt(rx * rx + ry * ry + rz * rz)
-                if scan == 0:
-                    if value > best:
-                        best = value
-                elif value >= threshold and (value_at_best < 0.0 or index < best_index):
-                    best_index = index
-                    value_at_best = value
-                step += 1
-                if step == 1 << n:
-                    break
-                k = 0
-                s = step
-                while s & 1 == 0:
-                    s >>= 1
-                    k += 1
-                index ^= 1 << k
-                i = n - 1 - k
-                delta = 2 if (index >> k) & 1 else -2
-                for j in range(n):
-                    col[j] += delta * m[i, j]
-        return value_at_best, best_index
-
-    def lhv_max_numba(m: np.ndarray) -> tuple[int, int]:
-        value, index = _lhv_gray(np.ascontiguousarray(m, dtype=np.int64))
-        return int(value), int(index)
-
-    def steering_max_numba(
-        m: np.ndarray, bob: np.ndarray, tie_tol: float = STEERING_TIE_TOL
-    ) -> tuple[float, int]:
-        value, index = _steering_gray(
-            np.ascontiguousarray(m, dtype=np.int64),
-            np.ascontiguousarray(bob, dtype=np.float64),
-            tie_tol,
-        )
-        return float(value), int(index)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
+    The high table sums -rows[0] and the signed middle rows; the low table the
+    signed last lo = ceil((n-1)/2) rows. An assignment's index within the half
+    is (h << lo) | l, and its sum is high[:, h] + low[:, l].
+    """
+    n = rows.shape[0]
+    lo = n // 2
+    high = rows[1 : n - lo].T @ _signs(n - 1 - lo) - rows[0][:, None]
+    low = rows[n - lo :].T @ _signs(lo)
+    return high, low, lo
 
 
 def lhv_max(m: np.ndarray) -> tuple[int, int]:
-    if USE_NUMBA:
-        return lhv_max_numba(m)
-    return lhv_max_numpy(m)
+    """Max over assignments of sum_j |column sum|, with the smallest index."""
+    m = np.asarray(m, dtype=np.int64)
+    n = m.shape[0]
+    # Every table entry and score is bounded by n * max_i sum_j |m_ij|.
+    dtype = np.int32 if n * int(np.abs(m).sum(axis=1).max()) <= _INT32_MAX else np.int64
+    high, low, lo = _halves(m)
+    high, low = high.astype(dtype), low.astype(dtype)
+    step = max(1, _BLOCK_ASSIGNMENTS >> lo)
+    buf = np.empty((n, min(step, high.shape[1]), low.shape[1]), dtype=dtype)
+    best = -1
+    best_index = 0
+    for start in range(0, high.shape[1], step):
+        block = buf[:, : min(step, high.shape[1] - start)]
+        np.add(high[:, start : start + block.shape[1], None], low[:, None, :], out=block)
+        np.abs(block, out=block)
+        values = block.sum(axis=0, dtype=dtype).ravel()
+        k = int(np.argmax(values))  # first max within the block
+        if values[k] > best:
+            best = int(values[k])
+            best_index = (start << lo) + k
+    return best, best_index
 
 
-def steering_max(m: np.ndarray, bob: np.ndarray) -> tuple[float, int]:
-    if USE_NUMBA:
-        return steering_max_numba(m, bob)
-    return steering_max_numpy(m, bob)
+def steering_max(
+    m: np.ndarray, bob: np.ndarray, tie_tol: float = STEERING_TIE_TOL
+) -> tuple[float, int]:
+    """Max over assignments of ||sum_j c_j b_j||, smallest index within tie_tol."""
+    w = np.asarray(m, dtype=np.float64) @ np.asarray(bob, dtype=np.float64)
+    high, low, lo = _halves(w)
+    step = max(1, _BLOCK_ASSIGNMENTS >> lo)
+    starts = range(0, high.shape[1], step)
+
+    def block_norms(start: int) -> np.ndarray:
+        r = high[:, start : start + step, None] + low[:, None, :]
+        r *= r
+        return np.sqrt(r.sum(axis=0)).ravel()
+
+    # Pass 1 records each block's maximum; pass 2 rescans only the first
+    # block that reaches the tie threshold, which holds the smallest index.
+    block_best = [float(block_norms(start).max()) for start in starts]
+    threshold = max(block_best) - tie_tol
+    for start, value in zip(starts, block_best):
+        if value >= threshold:
+            norms = block_norms(start)
+            k = int(np.nonzero(norms >= threshold)[0][0])
+            return float(norms[k]), (start << lo) + k
+    raise AssertionError("maximum vanished between passes")

@@ -20,7 +20,7 @@ from math import acos, asin, cos, pi, sin, sqrt
 import numpy as np
 
 from .matrices import build_as_matrix, lhv_bound_closed_form, require_even_settings
-from .quantum import UNIT_ACCEPT_TOL, bell_quantum_value, max_quantum_closed_form
+from .quantum import bell_quantum_value, max_quantum_closed_form, normalize_unit_rows
 from .seesaw import alice_best_response, seesaw
 
 SUPPORTED_SETTINGS = (2, 4, 6, 8, 10)
@@ -214,14 +214,7 @@ def _direction_rows(data, key: str, n: int) -> np.ndarray:
             if isinstance(component, bool) or not isinstance(component, (int, float)):
                 raise ValueError(f"{key}[{i}][{k}] must be a number")
             out[i, k] = float(component)
-    norms = np.linalg.norm(out, axis=1)
-    bad = np.nonzero(np.abs(norms - 1.0) > UNIT_ACCEPT_TOL)[0]
-    if bad.size:
-        raise ValueError(
-            f"{key}[{bad[0]}] must be unit length within {UNIT_ACCEPT_TOL}, "
-            f"got norm {norms[bad[0]]}"
-        )
-    return out / norms[:, None]
+    return normalize_unit_rows(out, key + "[{i}]")
 
 
 def directions_from_dict(data) -> dict:

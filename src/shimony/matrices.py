@@ -66,6 +66,10 @@ def as_coefficient_matrix(m) -> np.ndarray:
         if np.any(arr != rounded):
             raise ValueError("coefficient matrix entries must be integers")
         arr = rounded
+    # Every column sum and score is at most n * max_i sum_j |m_ij|; keep it
+    # well inside int64 so the integer arithmetic cannot wrap.
+    if arr.shape[0] * np.abs(arr.astype(np.float64)).sum(axis=1).max() >= 2.0**62:
+        raise ValueError("coefficient matrix entries are too large for exact int64 sums")
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 

@@ -52,17 +52,30 @@ class WernerState:
 SINGLET = WernerState(1.0)
 
 
+def normalize_unit_rows(arr: np.ndarray, name: str) -> np.ndarray:
+    """Renormalize unit vectors along the last axis, rejecting any other norm.
+
+    A norm more than UNIT_ACCEPT_TOL from 1 raises ValueError, and so does a
+    NaN or infinite component: the test is phrased so that a NaN deviation
+    fails it. `name` labels the offending row, with `{i}` for its index.
+    """
+    norms = np.linalg.norm(arr, axis=-1, keepdims=True)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_ACCEPT_TOL))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"{name.format(i=i)} must be unit length within {UNIT_ACCEPT_TOL}, "
+            f"got norm {norms.flat[i]}"
+        )
+    return arr / norms
+
+
 def as_bloch_vector(direction) -> np.ndarray:
     """Validate and renormalize a single Bloch direction."""
     arr = np.asarray(direction, dtype=np.float64)
     if arr.shape != (3,):
         raise ValueError(f"direction must have 3 components, got shape {arr.shape}")
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > UNIT_ACCEPT_TOL:
-        raise ValueError(
-            f"direction must be unit length within {UNIT_ACCEPT_TOL}, got norm {norm}"
-        )
-    return arr / norm
+    return normalize_unit_rows(arr, "direction")
 
 
 def as_measurement_set(directions, n: int | None = None) -> np.ndarray:
@@ -72,14 +85,7 @@ def as_measurement_set(directions, n: int | None = None) -> np.ndarray:
         raise ValueError(f"measurement set must have shape (n, 3), got {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"measurement set has {arr.shape[0]} directions, expected {n}")
-    norms = np.linalg.norm(arr, axis=1)
-    bad = np.nonzero(np.abs(norms - 1.0) > UNIT_ACCEPT_TOL)[0]
-    if bad.size:
-        raise ValueError(
-            f"direction {bad[0]} must be unit length within {UNIT_ACCEPT_TOL}, "
-            f"got norm {norms[bad[0]]}"
-        )
-    return arr / norms[:, None]
+    return normalize_unit_rows(arr, "direction {i}")
 
 
 def bloch_from_spherical(theta: float, phi: float) -> np.ndarray:

@@ -80,7 +80,7 @@ def steering_lhs_bound(m, bob) -> SteeringBoundResult:
 
     Ties resolve to the lexicographically smallest witness (within 1e-12 on
     the norm, -1 < +1). The value is recomputed from the witness's integer
-    column sums, so it is identical across kernel backends.
+    column sums, so it does not depend on how the kernel sums the resultants.
     """
     m = as_coefficient_matrix(m)
     n = m.shape[0]

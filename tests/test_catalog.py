@@ -180,6 +180,12 @@ def test_directions_from_dict_errors(data, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_directions_from_dict_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match=r"bob\[1\] must be unit length"):
+        directions_from_dict({"n": 2, "bob": [[0, 0, 1], [1, bad, 0]]})
+
+
 def test_load_directions_file(tmp_path):
     path = tmp_path / "dirs.json"
     path.write_text(json.dumps(entry_to_dict(catalog_directions(4))))

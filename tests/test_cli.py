@@ -117,6 +117,21 @@ def test_lhs_directions_schema_error_names_path(tmp_path, capsys):
     assert "broken.json" in err
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_lhs_directions_non_finite_exits_2(tmp_path, bad):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(f'{{"n": 4, "bob": [[0, 0, 1], [1, 0, 0], [{bad}, 0, 0], [0, 1, 0]]}}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "shimony.cli", "lhs", "4", "--directions", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "bob[2]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_lhs_directions_wrong_order(tmp_path, capsys):
     path = tmp_path / "two.json"
     path.write_text(json.dumps(entry_to_dict(catalog_directions(2))))
@@ -248,7 +263,8 @@ def test_figure2_shape(tmp_path, capsys):
 
 @pytest.mark.parametrize("no_numba", ["0", "1"])
 def test_tables_golden_across_backends(tmp_path, no_numba):
-    # Full subprocess so the env flag is honored at import time.
+    # numpy is the only backend; the former SHIMONY_NO_NUMBA flag, set either
+    # way in a fresh interpreter, must leave the output byte-identical.
     outdir = tmp_path / f"backend_{no_numba}"
     env = dict(os.environ, SHIMONY_NO_NUMBA=no_numba)
     proc = subprocess.run(
@@ -261,7 +277,7 @@ def test_tables_golden_across_backends(tmp_path, no_numba):
     for name in ("table1", "table2", "figure2", "figure3"):
         produced = (outdir / f"{name}.csv").read_bytes()
         expected = (GOLDEN / f"{name}.csv").read_bytes()
-        assert produced == expected, f"{name}.csv deviates under backend flag {no_numba}"
+        assert produced == expected, f"{name}.csv deviates under SHIMONY_NO_NUMBA={no_numba}"
 
 
 def test_tables_stdout_csv_sections(capsys):

@@ -145,6 +145,16 @@ def test_classical_value_validation():
         classical_value(np.ones((2, 3)), [1, 1], [1, 1, 1])
 
 
+def test_coefficients_too_large_for_int64_are_rejected():
+    # The scores of this matrix reach 2**64 and would wrap in int64.
+    big = np.full((2, 2), 1 << 62, dtype=np.int64)
+    with pytest.raises(ValueError, match="too large"):
+        lhv_bound_bruteforce(big)
+    with pytest.raises(ValueError, match="too large"):
+        classical_value(big, [1, 1], [1, 1])
+    assert lhv_bound_bruteforce(np.full((2, 2), 1 << 40)).value == 1 << 42
+
+
 def test_resource_cap():
     n = MAX_ENUMERATION_SETTINGS + 2
     with pytest.raises(ResourceLimitError):

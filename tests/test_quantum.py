@@ -50,6 +50,16 @@ def test_bloch_vector_rejects_bad_input(bad):
         as_bloch_vector(bad)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_directions_are_rejected(bad):
+    with pytest.raises(ValueError, match="unit length"):
+        as_bloch_vector([bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match="direction 1"):
+        as_measurement_set([Z, [0.0, bad, 0.0]])
+    with pytest.raises(ValueError, match="direction 0"):
+        as_measurement_set([[bad, bad, bad], X])
+
+
 def test_measurement_set_validation():
     as_measurement_set([Z, X], 2)
     with pytest.raises(ValueError, match="direction 1"):
