@@ -32,6 +32,15 @@ class ResourceLimitError(RuntimeError):
     """Enumeration refused: 2**n assignments is unreasonable for this n."""
 
 
+def require_enumerable(n: int) -> None:
+    """Refuse an enumeration over 2**n assignments beyond the settings cap."""
+    if n > MAX_ENUMERATION_SETTINGS:
+        raise ResourceLimitError(
+            f"enumeration over 2**{n} assignments exceeds the cap of "
+            f"{MAX_ENUMERATION_SETTINGS} settings"
+        )
+
+
 def require_even_settings(n: int) -> int:
     """Validate a setting count (even integer >= 2) and return it as int."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
@@ -129,11 +138,7 @@ def lhv_bound_bruteforce(m) -> LhvBoundResult:
     """
     m = as_coefficient_matrix(m)
     n = m.shape[0]
-    if n > MAX_ENUMERATION_SETTINGS:
-        raise ResourceLimitError(
-            f"brute force over 2**{n} assignments exceeds the cap of "
-            f"{MAX_ENUMERATION_SETTINGS} settings"
-        )
+    require_enumerable(n)
     value, index = _kernels.lhv_max(m)
     alice = assignment_from_index(index, n)
     column_sums = alice @ m

@@ -22,6 +22,9 @@ UNIT_NORM_TOL = 1e-12
 
 # Canonical direction reported for degenerate (zero-resultant) cases.
 DEGENERATE_DIRECTION = np.array([0.0, 0.0, 1.0])
+# Resultants below this norm give no preferred direction; DEGENERATE_DIRECTION
+# is used instead.
+ZERO_RESULTANT_TOL = 1e-12
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

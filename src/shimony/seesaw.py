@@ -13,11 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import as_coefficient_matrix
-from .quantum import DEGENERATE_DIRECTION, as_measurement_set
-
-# A resultant below this norm gives no preferred direction; the canonical
-# degenerate choice is used instead.
-ZERO_RESULTANT_TOL = 1e-12
+from .quantum import DEGENERATE_DIRECTION, ZERO_RESULTANT_TOL, as_measurement_set
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000

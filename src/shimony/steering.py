@@ -18,22 +18,16 @@ from dataclasses import dataclass
 from math import atan2, pi, sqrt
 
 import numpy as np
-from scipy import optimize
 
 from . import _kernels
 from .matrices import (
-    MAX_ENUMERATION_SETTINGS,
-    ResourceLimitError,
     as_coefficient_matrix,
     assignment_from_index,
     lhv_bound_bruteforce,
+    require_enumerable,
     require_even_settings,
 )
-from .quantum import DEGENERATE_DIRECTION, as_measurement_set
-
-# Resultants below this norm leave Bob's state unconstrained; the canonical
-# degenerate direction is reported.
-ZERO_RESULTANT_TOL = 1e-12
+from .quantum import DEGENERATE_DIRECTION, ZERO_RESULTANT_TOL, as_measurement_set
 
 ORACLE_GRID_SIZE = 4096
 
@@ -85,11 +79,7 @@ def steering_lhs_bound(m, bob) -> SteeringBoundResult:
     m = as_coefficient_matrix(m)
     n = m.shape[0]
     bob = as_measurement_set(bob, n)
-    if n > MAX_ENUMERATION_SETTINGS:
-        raise ResourceLimitError(
-            f"enumeration over 2**{n} assignments exceeds the cap of "
-            f"{MAX_ENUMERATION_SETTINGS} settings"
-        )
+    require_enumerable(n)
     _value, index = _kernels.steering_max(m, bob)
     alice = assignment_from_index(index, n)
     column_sums = alice @ m
@@ -128,11 +118,7 @@ def steering_lhs_bound_oracle(m, bob, grid_size: int = ORACLE_GRID_SIZE) -> floa
     m = as_coefficient_matrix(m)
     n = m.shape[0]
     bob = as_measurement_set(bob, n)
-    if n > MAX_ENUMERATION_SETTINGS:
-        raise ResourceLimitError(
-            f"enumeration over 2**{n} assignments exceeds the cap of "
-            f"{MAX_ENUMERATION_SETTINGS} settings"
-        )
+    require_enumerable(n)
     if grid_size < 16:
         raise ValueError(f"grid_size must be >= 16, got {grid_size}")
 
@@ -155,6 +141,10 @@ def steering_lhs_bound_oracle(m, bob, grid_size: int = ORACLE_GRID_SIZE) -> floa
     # cutoff cannot overtake the leader after refinement.
     cutoff = best_grid - (3e-3 * abs(best_grid) + 1e-9)
     candidates = np.nonzero(per_assignment >= cutoff)[0]
+
+    # Only this refinement needs scipy; importing it here keeps it off the
+    # start-up of every other command.
+    from scipy import optimize
 
     best = -np.inf
     for index in candidates:

@@ -294,3 +294,47 @@ def test_version_and_bad_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["nonsense"])
     assert exc.value.code == 2
+
+
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+
+
+def test_scipy_loaded_only_by_the_oracle():
+    # scipy serves only the oracle's refinement; every other command and the
+    # package import must run on numpy alone.
+    script = """
+import sys
+def scipy_modules():
+    return sorted(k for k in sys.modules if k.startswith("scipy"))
+import shimony, shimony.cli
+from shimony import cli
+assert not scipy_modules(), ("import", scipy_modules())
+for argv in (["matrix", "4"], ["bounds", "6", "--bruteforce"], ["thresholds", "6"], ["tables"]):
+    assert cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+assert cli.main(["lhs", "4", "--oracle"]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+    proc = _run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    assert "c_lhs_oracle" in proc.stdout
+
+
+def test_oracle_refuses_bad_grid_before_loading_scipy():
+    script = """
+import sys
+from shimony.catalog import catalog_directions
+from shimony.matrices import build_as_matrix
+from shimony.steering import steering_lhs_bound_oracle
+bob = catalog_directions(4).bob_directions
+try:
+    steering_lhs_bound_oracle(build_as_matrix(4), bob, grid_size=8)
+except ValueError as exc:
+    assert "grid_size" in str(exc)
+else:
+    raise AssertionError("grid_size=8 was accepted")
+assert not any(k.startswith("scipy") for k in sys.modules)
+"""
+    proc = _run_fresh(script)
+    assert proc.returncode == 0, proc.stderr

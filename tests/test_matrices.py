@@ -157,7 +157,7 @@ def test_coefficients_too_large_for_int64_are_rejected():
 
 def test_resource_cap():
     n = MAX_ENUMERATION_SETTINGS + 2
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="exceeds the cap of 24 settings"):
         lhv_bound_bruteforce(build_as_matrix(n))
 
 

@@ -157,9 +157,9 @@ def test_dimension_mismatch():
 def test_resource_cap():
     n = 26
     bob = random_measurement_set(n, seed=0)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="exceeds the cap of 24 settings"):
         steering_lhs_bound(build_as_matrix(n), bob)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="exceeds the cap of 24 settings"):
         steering_lhs_bound_oracle(build_as_matrix(n), bob)
 
 
