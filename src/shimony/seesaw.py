@@ -13,25 +13,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import as_coefficient_matrix
-from .quantum import DEGENERATE_DIRECTION, ZERO_RESULTANT_TOL, as_measurement_set
+from .quantum import (
+    DEGENERATE_DIRECTION,
+    ZERO_RESULTANT_TOL,
+    as_measurement_set,
+    normalize_unit_rows,
+)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_RESTARTS = 32
+# Restarts run through the see-saw loop together, at most this many at a
+# time; the working arrays stay O(group * n) for any restart count.
+_RESTART_GROUP = 256
 
 
-def _respond(resultants: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit directions opposing each resultant row, and the value they yield.
+def _respond(resultants: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions opposing each resultant row, and the values they yield.
 
-    The value sum_i ||r_i|| is the Bell value after the responding party
-    updates (degenerate rows contribute their ~0 norm).
+    Works on (..., n, 3) stacks. The value sum_i ||r_i|| of each (n, 3) set is
+    the Bell value after the responding party updates (degenerate rows
+    contribute their ~0 norm).
     """
-    norms = np.linalg.norm(resultants, axis=1)
+    norms = np.linalg.norm(resultants, axis=-1)
     degenerate = norms < ZERO_RESULTANT_TOL
     safe = np.where(degenerate, 1.0, norms)
-    directions = -resultants / safe[:, None]
+    directions = -resultants / safe[..., None]
     directions[degenerate] = DEGENERATE_DIRECTION
-    return directions, float(norms.sum())
+    return directions, norms.sum(axis=-1)
 
 
 def alice_best_response(m, bob) -> np.ndarray:
@@ -61,6 +70,68 @@ class OptimizationResult:
     trajectory: tuple[float, ...] | None = None
 
 
+def _check_iteration(tol: float, max_iter: int) -> None:
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
+def _best_run(
+    mf: np.ndarray,
+    bobs: np.ndarray,
+    tol: float,
+    max_iter: int,
+    record_trajectory: bool,
+    first_index: int,
+) -> OptimizationResult:
+    """Run the see-saw from every (n, 3) start set in bobs; return the best run.
+
+    All runs advance together, and each does exactly the arithmetic it would
+    do alone: np.matmul with the 2-D mf (or its transposed view) runs one
+    (n, n) @ (n, 3) product per run. An einsum, one reshaped product or a
+    contiguous copy of mf.T would round differently. A run leaves the batch
+    the round its improvement drops below tol. Ties keep the first run, whose
+    restart index is first_index + its position.
+    """
+    alices, values = _respond(np.matmul(mf, bobs))
+    iterations = np.zeros(len(values), dtype=np.int64)
+    converged = np.zeros(len(values), dtype=bool)
+    steps = [values.copy()] if record_trajectory else None
+    active = np.arange(len(values))
+    for iteration in range(1, max_iter + 1):
+        iterations[active] = iteration
+        new_bobs, bob_values = _respond(np.matmul(mf.T, alices[active]))
+        new_alices, new_values = _respond(np.matmul(mf, new_bobs))
+        bobs[active] = new_bobs
+        alices[active] = new_alices
+        if steps is not None:
+            for half_values in (bob_values, new_values):
+                step = np.full(len(values), np.nan)
+                step[active] = half_values
+                steps.append(step)
+        done = new_values - values[active] < tol
+        values[active] = new_values
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
+            break
+
+    best = int(np.argmax(values))
+    trajectory = None
+    if steps is not None:
+        trajectory = tuple(float(step[best]) for step in steps[: 1 + 2 * iterations[best]])
+    return OptimizationResult(
+        value=float(values[best]),
+        alice=alices[best].copy(),
+        bob=bobs[best].copy(),
+        iterations=int(iterations[best]),
+        converged=bool(converged[best]),
+        restart_index=first_index + best,
+        trajectory=trajectory,
+    )
+
+
 def seesaw(
     m,
     initial_bob,
@@ -76,41 +147,11 @@ def seesaw(
     value is the Bell value of the returned pair at V=1. The trajectory, when
     recorded, holds the value after every half-step and is nondecreasing.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_iteration(tol, max_iter)
     m = as_coefficient_matrix(m)
-    mf = m.astype(np.float64)
     bob = as_measurement_set(initial_bob, m.shape[0])
-
-    trajectory: list[float] = []
-    alice, value = _respond(mf @ bob)
-    if record_trajectory:
-        trajectory.append(value)
-
-    converged = False
-    iterations = 0
-    for iteration in range(1, max_iter + 1):
-        iterations = iteration
-        bob, bob_value = _respond(mf.T @ alice)
-        alice, new_value = _respond(mf @ bob)
-        if record_trajectory:
-            trajectory.extend((bob_value, new_value))
-        improvement = new_value - value
-        value = new_value
-        if improvement < tol:
-            converged = True
-            break
-
-    return OptimizationResult(
-        value=value,
-        alice=alice,
-        bob=bob,
-        iterations=iterations,
-        converged=converged,
-        restart_index=restart_index,
-        trajectory=tuple(trajectory) if record_trajectory else None,
+    return _best_run(
+        m.astype(np.float64), bob[None], tol, max_iter, record_trajectory, restart_index
     )
 
 
@@ -137,23 +178,27 @@ def multistart_seesaw(
 ) -> OptimizationResult:
     """Best of `restarts` see-saw runs from independent random Bob sets.
 
-    Deterministic for fixed (seed, restarts): ties keep the smallest restart
-    index, and repeated calls return bitwise-identical results.
+    The runs go through the see-saw loop together, in groups of at most 256,
+    so memory stays bounded for any restart count; each gives the same result,
+    bit for bit, as `seesaw` from its start set. Deterministic for
+    fixed (seed, restarts): ties keep the smallest restart index, and
+    repeated calls return bitwise-identical results.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    _check_iteration(tol, max_iter)
     m = as_coefficient_matrix(m)
+    n = m.shape[0]
+    mf = m.astype(np.float64)
     best: OptimizationResult | None = None
-    for index in range(restarts):
-        start = random_measurement_set(m.shape[0], seed, index)
-        result = seesaw(
-            m,
-            start,
-            tol=tol,
-            max_iter=max_iter,
-            record_trajectory=record_trajectory,
-            restart_index=index,
+    for first in range(0, restarts, _RESTART_GROUP):
+        indices = range(first, min(first + _RESTART_GROUP, restarts))
+        # Renormalized as `seesaw` renormalizes its start set.
+        starts = normalize_unit_rows(
+            np.stack([random_measurement_set(n, seed, index) for index in indices]),
+            "direction {i}",
         )
+        result = _best_run(mf, starts, tol, max_iter, record_trajectory, first)
         if best is None or result.value > best.value:
             best = result
     assert best is not None

@@ -30,6 +30,9 @@ from .matrices import (
 from .quantum import DEGENERATE_DIRECTION, ZERO_RESULTANT_TOL, as_measurement_set
 
 ORACLE_GRID_SIZE = 4096
+# Grid scores (grid points x assignments) that one oracle block holds: 8 MB,
+# whatever the grid size.
+ORACLE_BLOCK_SCORES = 1 << 20
 
 # Reference values for the catalog bounds, kept for reporting. The 10-setting
 # figure is a tabulated decimal that does not match the value computed from
@@ -127,13 +130,14 @@ def steering_lhs_bound_oracle(m, bob, grid_size: int = ORACLE_GRID_SIZE) -> floa
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     mf = m.astype(np.float64)
 
-    chunk = 1 << min(n, 14)
     total = 1 << n
+    chunk = max(1, min(total, ORACLE_BLOCK_SCORES // grid_size))
     per_assignment = np.empty(total)
     for start in range(0, total, chunk):
-        idx = np.arange(start, start + chunk, dtype=np.int64)
+        stop = min(start + chunk, total)
+        idx = np.arange(start, stop, dtype=np.int64)
         signs = (((idx[:, None] >> shifts) & 1) * 2 - 1).astype(np.float64)
-        per_assignment[start : start + chunk] = (dots @ (signs @ mf).T).max(axis=0)
+        per_assignment[start:stop] = (dots @ (signs @ mf).T).max(axis=0)
     best_grid = float(per_assignment.max())
 
     # Conservative covering margin: a grid this dense sees at least

@@ -1,5 +1,6 @@
 """CLI behavior: formats, exit codes, direction files, golden tables."""
 
+import hashlib
 import json
 import math
 import os
@@ -222,6 +223,53 @@ def test_seesaw_trajectory_table(capsys):
     assert names == ["seesaw", "trajectory"]
     values = [row[1] for row in doc["tables"][1]["rows"]]
     assert all(b - a >= -1e-9 for a, b in zip(values, values[1:]))
+
+
+# See-saw outputs pinned byte for byte, as the per-restart loop produced
+# them. The JSON documents are pinned by digest; their result row is spelled
+# out so that a mismatch shows which number moved.
+SEESAW_CSV_PINS = [
+    (
+        ("seesaw", "10", "--restarts", "128", "--seed", "5", "--format", "csv"),
+        "n,value,closed_form,deviation,iterations,converged,restart_index\n"
+        "10,40.16632088,40.16632088,7.105427358e-15,16,true,25\n",
+    ),
+    (
+        ("thresholds", "8", "--quantum-max", "seesaw", "--restarts", "64", "--seed", "3",
+         "--format", "csv"),
+        "n,c_lhv,c_lhs,quantum_max,v_lhv,v_lhs,v_lhs_reference,v_lhs_from_reference_bound,"
+        "bob_state_x,bob_state_y,bob_state_z,witness\n"
+        "8,20,18.04822226,26.83281573,0.7453559925,0.6726175306,0.6726,0.6726175306,"
+        "-0.02477881695,0.70183122,0.7119121778,-1 -1 -1 -1 -1 -1 +1 -1\n",
+    ),
+]
+SEESAW_JSON_PINS = [
+    (
+        ("seesaw", "6", "--restarts", "8", "--seed", "1", "--trajectory", "--format", "json"),
+        [6, 16.16580754, 16.16580754, 1.065814104e-14, 13, True, 3],
+        "609e539d97b92946af8a272f63bda264fad8fd2639f91f51c7abea85107b97ad",
+    ),
+    (
+        ("seesaw", "20", "--max-iter", "3", "--restarts", "16", "--format", "json"),
+        [20, 146.8119386, 146.8332387, 0.02130019097, 3, False, 8],
+        "9cd2e48803249b62e26c2f848961da4efaf6e6d1776cdbfb6ec11991869ef008",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", SEESAW_CSV_PINS)
+def test_seesaw_csv_bytes_pinned(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("argv, row, digest", SEESAW_JSON_PINS)
+def test_seesaw_json_bytes_pinned(capsys, argv, row, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["tables"][0]["rows"][0] == row
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n,expected", [(2, 3), (4, 3), (6, 0), (8, 0), (10, 0)])

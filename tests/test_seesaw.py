@@ -1,6 +1,7 @@
 """See-saw optimizer: best responses, convergence, multistart determinism."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from shimony.catalog import catalog_directions
 from shimony.matrices import build_as_matrix
 from shimony.quantum import bell_quantum_value, max_quantum_closed_form
 from shimony.seesaw import (
+    DEFAULT_TOL,
     alice_best_response,
     bob_best_response,
     multistart_seesaw,
@@ -112,7 +114,7 @@ def test_random_measurement_set_keying():
     assert np.allclose(np.linalg.norm(first, axis=1), 1.0, atol=1e-12)
 
 
-def test_parameter_validation():
+def test_parameter_validation(monkeypatch):
     m = build_as_matrix(2)
     start = random_measurement_set(2, seed=0)
     with pytest.raises(ValueError, match="tol"):
@@ -121,6 +123,18 @@ def test_parameter_validation():
         seesaw(m, start, max_iter=0)
     with pytest.raises(ValueError, match="restarts"):
         multistart_seesaw(m, restarts=0)
+
+    # multistart_seesaw checks tol and max_iter before it draws a start set.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a start set was drawn")
+
+    monkeypatch.setattr(sys.modules["shimony.seesaw"], "random_measurement_set", refuse)
+    with pytest.raises(ValueError, match="tol must be positive, got 0.0"):
+        multistart_seesaw(m, tol=0.0)
+    with pytest.raises(ValueError, match="tol must be positive, got -1e-09"):
+        multistart_seesaw(m, tol=-1e-9)
+    with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+        multistart_seesaw(m, max_iter=0)
 
 
 def test_bob_fixed_point_reproduces_maximum():
@@ -131,3 +145,88 @@ def test_bob_fixed_point_reproduces_maximum():
         10 * math.sqrt(2 / 3), abs=1e-9
     )
     assert np.allclose(rebuilt, result.bob, atol=1e-6)
+
+
+def _serial_seesaw(m, start, tol, max_iter):
+    """One see-saw run written as a plain 2-D loop, independent of the library."""
+    mf = m.astype(np.float64)
+
+    def respond(resultants):
+        norms = np.linalg.norm(resultants, axis=1)
+        degenerate = norms < 1e-12
+        directions = -resultants / np.where(degenerate, 1.0, norms)[:, None]
+        directions[degenerate] = [0.0, 0.0, 1.0]
+        return directions, float(norms.sum())
+
+    bob = start / np.linalg.norm(start, axis=1, keepdims=True)
+    alice, value = respond(mf @ bob)
+    trajectory = [value]
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        bob, bob_value = respond(mf.T @ alice)
+        alice, new_value = respond(mf @ bob)
+        trajectory += [bob_value, new_value]
+        improvement = new_value - value
+        value = new_value
+        if improvement < tol:
+            converged = True
+            break
+    return value, alice, bob, iterations, converged, tuple(trajectory)
+
+
+def _random_matrix_with_zero_row(n, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-3, 4, size=(n, n))
+    m[rng.integers(n)] = 0
+    return m
+
+
+@pytest.mark.parametrize(
+    "m, restarts, seed, max_iter",
+    [
+        (build_as_matrix(2), 16, 0, 10_000),
+        (build_as_matrix(4), 16, 1, 10_000),
+        (build_as_matrix(6), 16, 2, 10_000),
+        (build_as_matrix(12), 16, 3, 10_000),
+        (build_as_matrix(30), 8, 4, 10_000),
+        (build_as_matrix(12), 1, 5, 10_000),
+        (build_as_matrix(12), 16, 6, 3),
+        (build_as_matrix(30), 8, 7, 3),
+        (_random_matrix_with_zero_row(5, 8), 16, 8, 10_000),
+        (_random_matrix_with_zero_row(9, 9), 16, 9, 10_000),
+        (_random_matrix_with_zero_row(9, 10), 16, 10, 3),
+    ],
+)
+def test_multistart_matches_serial_reference_bitwise(m, restarts, seed, max_iter):
+    n = m.shape[0]
+    runs = [
+        _serial_seesaw(m, random_measurement_set(n, seed, index), DEFAULT_TOL, max_iter)
+        for index in range(restarts)
+    ]
+    best_index = 0
+    for index, run in enumerate(runs):
+        if run[0] > runs[best_index][0]:
+            best_index = index
+    value, alice, bob, iterations, converged, trajectory = runs[best_index]
+
+    result = multistart_seesaw(
+        m, restarts=restarts, seed=seed, max_iter=max_iter, record_trajectory=True
+    )
+    assert result.value == value
+    assert np.array_equal(result.alice, alice)
+    assert np.array_equal(result.bob, bob)
+    assert result.iterations == iterations
+    assert result.converged is converged
+    assert result.restart_index == best_index
+    assert result.trajectory == trajectory
+    if max_iter == 3:
+        assert not converged
+
+    for index, run in enumerate(runs):
+        single = seesaw(
+            m, random_measurement_set(n, seed, index), max_iter=max_iter, record_trajectory=True
+        )
+        assert (single.value, single.iterations, single.converged) == (run[0], run[3], run[4])
+        assert np.array_equal(single.alice, run[1])
+        assert np.array_equal(single.bob, run[2])
+        assert single.trajectory == run[5]

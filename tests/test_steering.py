@@ -1,6 +1,7 @@
 """Steering LHS bounds, the independent oracle, and visibility thresholds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,31 @@ def test_oracle_agrees_on_random_directions(n):
         bob = random_measurement_set(n, seed=seed, restart_index=99)
         fast = steering_lhs_bound(m, bob).value
         assert steering_lhs_bound_oracle(m, bob) == pytest.approx(fast, abs=1e-6)
+
+
+@pytest.mark.parametrize("grid_size", [1000, 3000])
+@pytest.mark.parametrize("n", [8, 10])
+def test_oracle_agrees_at_non_power_of_two_grids(n, grid_size):
+    # The assignment blocks do not divide 2**n here, so the last one is cut.
+    m = build_as_matrix(n)
+    bob = catalog_directions(n).bob_directions
+    fast = steering_lhs_bound(m, bob).value
+    assert steering_lhs_bound_oracle(m, bob, grid_size=grid_size) == pytest.approx(
+        fast, abs=1e-7
+    )
+
+
+def test_oracle_grid_block_memory_is_bounded():
+    m = build_as_matrix(12)
+    bob = random_unit_rows(np.random.default_rng(12), 12)
+    steering_lhs_bound_oracle(m, bob)  # loads scipy outside the measurement
+    tracemalloc.start()
+    try:
+        steering_lhs_bound_oracle(m, bob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_witness_reproduces_value():
