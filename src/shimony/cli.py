@@ -3,7 +3,7 @@
 Subcommands expose the coefficient matrices, classical and steering bounds,
 Werner visibility thresholds, the see-saw optimizer, direction verification,
 and the combined reference tables. Exit codes: 0 success, 2 invalid input,
-3 verification anomaly, 4 resource cap exceeded.
+3 verification anomaly, 4 resource cap exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -399,8 +399,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except matrices.ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (matrices.ResourceLimitError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

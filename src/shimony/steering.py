@@ -15,7 +15,7 @@ counterpart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, pi, sqrt
+from math import cos, pi, sqrt
 
 import numpy as np
 
@@ -30,9 +30,6 @@ from .matrices import (
 from .quantum import DEGENERATE_DIRECTION, ZERO_RESULTANT_TOL, as_measurement_set
 
 ORACLE_GRID_SIZE = 4096
-# Grid scores (grid points x assignments) that one oracle block holds: 8 MB,
-# whatever the grid size.
-ORACLE_BLOCK_SCORES = 1 << 20
 
 # Reference values for the catalog bounds, kept for reporting. The 10-setting
 # figure is a tabulated decimal that does not match the value computed from
@@ -110,13 +107,25 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
 
 
 def steering_lhs_bound_oracle(m, bob, grid_size: int = ORACLE_GRID_SIZE) -> float:
-    """Independent LHS bound that never forms the resultant or its norm.
+    """Independent LHS bound from the other order of the two maxima.
 
-    For each Alice assignment the Bob-state payoff sum_j c_j (b_j . v) is
-    maximized over a Fibonacci grid of Bloch states; every assignment within
-    a covering margin of the best grid score is then polished with
-    Nelder-Mead over spherical angles. Cost grows as 2**n; intended for small
-    n (the catalog orders), though the hard cap matches the fast path.
+    With w = m @ bob, swapping the maximum over assignments with the one over
+    Bloch states gives
+
+        C_LHS = max_A max_{|v|=1} sum_i A_i (w_i . v) = max_{|v|=1} sum_i |w_i . v|,
+
+    the support function of the zonotope sum_i [-w_i, w_i]. No assignment is
+    enumerated and no resultant is formed, so this shares nothing with the
+    enumeration kernel; its cost is O(grid_size * n) with no 2**n factor.
+
+    The payoff is scored on a Fibonacci grid of N = grid_size Bloch states
+    whose covering radius is below rho = sqrt(4 pi / N): the largest
+    circumcap of its convex hull's facets measures 0.7696-0.7712 rho for
+    every N from 16 to 4096 and for N up to 262144. The grid point nearest
+    the maximizer v* therefore scores at least C_LHS cos(rho), so every grid
+    point that scores at least best * cos(rho) is kept. Each is then polished
+    in its tangent plane over 7 x 7 patches, starting at step rho/2 and
+    halving the step for 48 rounds.
     """
     m = as_coefficient_matrix(m)
     n = m.shape[0]
@@ -124,54 +133,31 @@ def steering_lhs_bound_oracle(m, bob, grid_size: int = ORACLE_GRID_SIZE) -> floa
     require_enumerable(n)
     if grid_size < 16:
         raise ValueError(f"grid_size must be >= 16, got {grid_size}")
-
-    grid = _fibonacci_sphere(grid_size)
-    dots = grid @ bob.T  # (grid, n)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     mf = m.astype(np.float64)
 
-    total = 1 << n
-    chunk = max(1, min(total, ORACLE_BLOCK_SCORES // grid_size))
-    per_assignment = np.empty(total)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        signs = (((idx[:, None] >> shifts) & 1) * 2 - 1).astype(np.float64)
-        per_assignment[start:stop] = (dots @ (signs @ mf).T).max(axis=0)
-    best_grid = float(per_assignment.max())
+    def payoff(states):
+        return np.abs((states @ bob.T) @ mf.T).sum(axis=-1)
 
-    # Conservative covering margin: a grid this dense sees at least
-    # (1 - 3e-3) of each assignment's true optimum, so anything below the
-    # cutoff cannot overtake the leader after refinement.
-    cutoff = best_grid - (3e-3 * abs(best_grid) + 1e-9)
-    candidates = np.nonzero(per_assignment >= cutoff)[0]
+    rho = sqrt(4 * pi / grid_size)
+    grid = _fibonacci_sphere(grid_size)
+    scores = payoff(grid)
+    best = scores.max()
+    if best == 0:  # best >= C_LHS cos(rho) > 0 unless every w_i vanishes
+        return 0.0
+    points = grid[scores >= best * cos(rho)]
 
-    # Only this refinement needs scipy; importing it here keeps it off the
-    # start-up of every other command.
-    from scipy import optimize
-
-    best = -np.inf
-    for index in candidates:
-        c = assignment_from_index(int(index), n).astype(np.float64) @ mf
-
-        def payoff(angles, c=c):
-            theta, phi = angles
-            v = np.array(
-                [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-            )
-            return -float((bob @ v) @ c)
-
-        scores = dots @ c
-        seed = grid[int(np.argmax(scores))]
-        x0 = np.array([np.arccos(np.clip(seed[2], -1.0, 1.0)), atan2(seed[1], seed[0])])
-        result = optimize.minimize(
-            payoff,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 600},
-        )
-        best = max(best, -float(result.fun))
-    return best
+    du, dv = np.mgrid[-3:4, -3:4].reshape(2, -1, 1, 1)  # 7 x 7 patch offsets
+    step = rho / 2
+    for _ in range(48):
+        axis = np.eye(3)[np.argmin(np.abs(points), axis=1)]
+        e1 = np.cross(points, axis)
+        e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+        e2 = np.cross(points, e1)
+        patch = points + step * (du * e1 + dv * e2)
+        patch /= np.linalg.norm(patch, axis=2, keepdims=True)
+        points = patch[payoff(patch).argmax(axis=0), np.arange(len(points))]
+        step /= 2
+    return float(payoff(points).max())
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,24 @@ def test_bounds_resource_cap_exits_4(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "command, exc, message",
+    [
+        ("matrix", MemoryError("Unable to allocate 6.71 GiB"), "Unable to allocate 6.71 GiB"),
+        ("seesaw", MemoryError(), "out of memory"),
+    ],
+)
+def test_out_of_memory_exits_4(capsys, monkeypatch, command, exc, message):
+    def fail(n):
+        raise exc
+
+    monkeypatch.setattr(cli.matrices, "build_as_matrix", fail)
+    code, out, err = run_cli(capsys, command, "30000")
+    assert code == 4
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_lhs_catalog(capsys):
     code, out, _ = run_cli(capsys, "lhs", "4", "--format", "json")
     assert code == 0
@@ -349,8 +367,8 @@ def _run_fresh(script: str) -> subprocess.CompletedProcess:
 
 
 def test_scipy_loaded_only_by_the_oracle():
-    # scipy serves only the oracle's refinement; every other command and the
-    # package import must run on numpy alone.
+    # The package, every command and the oracle run on numpy alone: no scipy
+    # module is ever loaded.
     script = """
 import sys
 def scipy_modules():
@@ -358,31 +376,33 @@ def scipy_modules():
 import shimony, shimony.cli
 from shimony import cli
 assert not scipy_modules(), ("import", scipy_modules())
-for argv in (["matrix", "4"], ["bounds", "6", "--bruteforce"], ["thresholds", "6"], ["tables"]):
+for argv in (
+    ["matrix", "4"],
+    ["bounds", "6", "--bruteforce"],
+    ["thresholds", "6"],
+    ["tables"],
+    ["lhs", "4", "--oracle"],
+):
     assert cli.main(argv) == 0, argv
     assert not scipy_modules(), (argv, scipy_modules())
-assert cli.main(["lhs", "4", "--oracle"]) == 0
-assert "scipy.optimize" in sys.modules
 """
     proc = _run_fresh(script)
     assert proc.returncode == 0, proc.stderr
     assert "c_lhs_oracle" in proc.stdout
 
 
-def test_oracle_refuses_bad_grid_before_loading_scipy():
+def test_oracle_runs_with_scipy_blocked():
     script = """
 import sys
-from shimony.catalog import catalog_directions
-from shimony.matrices import build_as_matrix
-from shimony.steering import steering_lhs_bound_oracle
-bob = catalog_directions(4).bob_directions
-try:
-    steering_lhs_bound_oracle(build_as_matrix(4), bob, grid_size=8)
-except ValueError as exc:
-    assert "grid_size" in str(exc)
-else:
-    raise AssertionError("grid_size=8 was accepted")
-assert not any(k.startswith("scipy") for k in sys.modules)
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, RefuseScipy())
+from shimony import cli
+sys.exit(cli.main(["lhs", "4", "--oracle", "--format", "csv"]))
 """
     proc = _run_fresh(script)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n,c_lhs,")
+    assert "c_lhs_oracle" in proc.stdout

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_rotation, random_unit_rows
 from shimony.catalog import catalog_directions
@@ -71,22 +73,23 @@ def test_oracle_agrees_on_random_directions(n):
         assert steering_lhs_bound_oracle(m, bob) == pytest.approx(fast, abs=1e-6)
 
 
-@pytest.mark.parametrize("grid_size", [1000, 3000])
+@pytest.mark.parametrize("grid_size", [16, 64, 1000, 3000])
 @pytest.mark.parametrize("n", [8, 10])
 def test_oracle_agrees_at_non_power_of_two_grids(n, grid_size):
-    # The assignment blocks do not divide 2**n here, so the last one is cut.
+    # At 16 and 64 points the grid's covering radius is 0.68 and 0.34 rad, so the
+    # cutoff must follow it: a fixed small margin drops the best grid cell.
     m = build_as_matrix(n)
     bob = catalog_directions(n).bob_directions
     fast = steering_lhs_bound(m, bob).value
     assert steering_lhs_bound_oracle(m, bob, grid_size=grid_size) == pytest.approx(
-        fast, abs=1e-7
+        fast, rel=1e-12
     )
 
 
 def test_oracle_grid_block_memory_is_bounded():
     m = build_as_matrix(12)
     bob = random_unit_rows(np.random.default_rng(12), 12)
-    steering_lhs_bound_oracle(m, bob)  # loads scipy outside the measurement
+    steering_lhs_bound_oracle(m, bob)
     tracemalloc.start()
     try:
         steering_lhs_bound_oracle(m, bob)
@@ -192,3 +195,45 @@ def test_resource_cap():
 def test_oracle_grid_validation():
     with pytest.raises(ValueError, match="grid_size"):
         steering_lhs_bound_oracle(build_as_matrix(2), [[0, 0, 1], [1, 0, 0]], grid_size=4)
+    with pytest.raises(ValueError, match="grid_size"):
+        steering_lhs_bound_oracle(
+            build_as_matrix(4), catalog_directions(4).bob_directions, grid_size=8
+        )
+
+
+@st.composite
+def thin_cell_inputs(draw):
+    """Inputs whose zonotope has thin or empty cells, with n up to 20.
+
+    Bob's directions cluster around one axis with a drawn spread, so rows of
+    w = m @ bob are nearly parallel and zero-sum rows of m give short rows of
+    w. Rows e_j - e_k over nearly equal b_j, b_k have norm about 1e-13; zero
+    rows, the all-zero matrix and coplanar sets are drawn too. Row 0 stays all
+    ones, as in AS_n, so a nonzero bound is never only a rounding residue of
+    rows that all cancel.
+    """
+    n = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(-3, 4, size=(n, n))
+    m[0] = 1
+    spread = draw(st.sampled_from([1.0, 1e-3, 1e-7, 1e-13]))
+    bob = rng.standard_normal(3) + spread * rng.standard_normal((n, 3))
+    eye = np.eye(n, dtype=np.int64)
+    for i in range(draw(st.integers(0, min(3, n // 2)))):
+        bob[2 * i + 1] = bob[2 * i] + 1e-13 * rng.standard_normal(3)
+        m[1 + i] = eye[2 * i] - eye[2 * i + 1]
+    m[1 + rng.integers(n - 1, size=draw(st.integers(0, min(3, n - 1))))] = 0
+    if draw(st.booleans()):
+        bob[:, 2] = 0.0
+    if draw(st.integers(0, 9)) == 0:
+        m[:] = 0
+    return m, bob / np.linalg.norm(bob, axis=1, keepdims=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(thin_cell_inputs(), st.sampled_from([16, 64, 4096]))
+def test_oracle_matches_kernel_on_thin_cells(inputs, grid_size):
+    m, bob = inputs
+    fast = steering_lhs_bound(m, bob).value
+    oracle = steering_lhs_bound_oracle(m, bob, grid_size=grid_size)
+    assert oracle == pytest.approx(fast, rel=1e-12, abs=0)
