@@ -19,6 +19,7 @@ from .catalog import (
 )
 from .matrices import (
     MAX_ENUMERATION_SETTINGS,
+    MAX_STEERING_SETTINGS,
     LhvBoundResult,
     ResourceLimitError,
     build_as_matrix,
@@ -55,6 +56,7 @@ from .steering import (
 __all__ = [
     "__version__",
     "MAX_ENUMERATION_SETTINGS",
+    "MAX_STEERING_SETTINGS",
     "SUPPORTED_SETTINGS",
     "SINGLET",
     "DirectionCatalogEntry",

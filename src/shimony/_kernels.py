@@ -1,4 +1,4 @@
-"""Exact enumeration kernels over Alice's 2**n deterministic assignments.
+"""Exact LHV enumeration kernel over Alice's 2**n deterministic assignments.
 
 Assignments are indexed so that bit n-1-i holds Alice setting i (clear bit is
 -1); numeric index order is then lexicographic order with -1 < +1.
@@ -10,13 +10,11 @@ Two exact reductions keep the scan cheap without changing any result:
   half is scanned.
 * Meet in the middle (Horowitz & Sahni, J. ACM 21, 1974). The other n-1
   settings split into a high prefix and the last `lo` settings. A table over
-  each half holds its contribution (integer column sums for LHV, resultants of
-  the rows of m @ bob for steering), so an assignment costs one add and a
-  reduction over n (or 3) entries instead of an n x n product.
+  each half holds its integer column sums, so an assignment costs one add and
+  a reduction over n entries instead of an n x n product.
 
-LHV sums stay exact integers. The steering norms are float64, and the witness
-is the smallest index within STEERING_TIE_TOL of the maximum; callers
-recompute the reported value from that witness's integer column sums.
+The sums stay exact integers. The steering bound does not enumerate: it
+scores the O(n**2) vertices of a zonotope (`steering._lhs_witness`).
 """
 
 from __future__ import annotations
@@ -24,10 +22,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-# Absolute tolerance for "same norm" when picking the lexicographically
-# smallest steering witness among float ties.
-STEERING_TIE_TOL = 1e-12
 
 # Assignments scored per block; bounds the working set of one block.
 _BLOCK_ASSIGNMENTS = 1 << 14
@@ -86,29 +80,3 @@ def lhv_max(m: np.ndarray) -> tuple[int, int]:
             best = int(values[k])
             best_index = (start << lo) + k
     return best, best_index
-
-
-def steering_max(
-    m: np.ndarray, bob: np.ndarray, tie_tol: float = STEERING_TIE_TOL
-) -> tuple[float, int]:
-    """Max over assignments of ||sum_j c_j b_j||, smallest index within tie_tol."""
-    w = np.asarray(m, dtype=np.float64) @ np.asarray(bob, dtype=np.float64)
-    high, low, lo = _halves(w)
-    step = max(1, _BLOCK_ASSIGNMENTS >> lo)
-    starts = range(0, high.shape[1], step)
-
-    def block_norms(start: int) -> np.ndarray:
-        r = high[:, start : start + step, None] + low[:, None, :]
-        r *= r
-        return np.sqrt(r.sum(axis=0)).ravel()
-
-    # Pass 1 records each block's maximum; pass 2 rescans only the first
-    # block that reaches the tie threshold, which holds the smallest index.
-    block_best = [float(block_norms(start).max()) for start in starts]
-    threshold = max(block_best) - tie_tol
-    for start, value in zip(starts, block_best):
-        if value >= threshold:
-            norms = block_norms(start)
-            k = int(np.nonzero(norms >= threshold)[0][0])
-            return float(norms[k]), (start << lo) + k
-    raise AssertionError("maximum vanished between passes")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +39,8 @@ def _emit(doc: OutputDocument, fmt: str) -> None:
     sys.stdout.write(doc.render(fmt))
 
 
-def _resolve_bob(args) -> tuple[np.ndarray, str]:
-    """Bob's directions from --directions JSON or the built-in catalog."""
-    n = matrices.require_even_settings(args.n)
+def _resolve_bob(args, n: int) -> tuple[np.ndarray, str]:
+    """Bob's directions for order n from --directions JSON or the built-in catalog."""
     if args.directions is not None:
         try:
             loaded = catalog.load_directions_file(args.directions)
@@ -82,6 +82,7 @@ def cmd_bounds(args) -> int:
     columns = ["n", "c_lhv"]
     row: list = [n, matrices.lhv_bound_closed_form(n)]
     if args.bruteforce:
+        matrices.require_enumerable(n)
         result = matrices.lhv_bound_bruteforce(matrices.build_as_matrix(n))
         columns += ["c_lhv_bruteforce", "alice_witness", "bob_witness"]
         row += [
@@ -95,8 +96,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_lhs(args) -> int:
-    bob, source = _resolve_bob(args)
-    n = args.n
+    n = matrices.require_even_settings(args.n)
+    matrices.require_steering_size(n)
+    bob, source = _resolve_bob(args, n)
     m = matrices.build_as_matrix(n)
     result = steering.steering_lhs_bound(m, bob)
 
@@ -136,8 +138,9 @@ def cmd_lhs(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    bob, source = _resolve_bob(args)
-    n = args.n
+    n = matrices.require_even_settings(args.n)
+    matrices.require_enumerable(n)  # C_LHV is a 2**n scan: its cap is the lower one
+    bob, source = _resolve_bob(args, n)
     m = matrices.build_as_matrix(n)
     if args.quantum_max == "seesaw":
         quantum_max = multistart_seesaw(m, restarts=args.restarts, seed=args.seed).value
@@ -395,8 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (matrices.ResourceLimitError, MemoryError) as exc:

@@ -23,13 +23,18 @@ import numpy as np
 
 from . import _kernels
 
-# Enumerations scan 2**n deterministic assignments; refuse anything beyond
-# this many settings rather than hang.
+# The LHV enumeration scans 2**n deterministic assignments; refuse anything
+# beyond this many settings rather than hang.
 MAX_ENUMERATION_SETTINGS = 24
+
+# The steering bound scores O(n**2) zonotope vertices at O(n) each; refuse
+# anything beyond this many settings. One call on AS_300 with a random Bob
+# set takes about 1 s on a 2-vCPU x86 host.
+MAX_STEERING_SETTINGS = 300
 
 
 class ResourceLimitError(RuntimeError):
-    """Enumeration refused: 2**n assignments is unreasonable for this n."""
+    """Computation refused: the order n is beyond the cap for this bound."""
 
 
 def require_enumerable(n: int) -> None:
@@ -38,6 +43,15 @@ def require_enumerable(n: int) -> None:
         raise ResourceLimitError(
             f"enumeration over 2**{n} assignments exceeds the cap of "
             f"{MAX_ENUMERATION_SETTINGS} settings"
+        )
+
+
+def require_steering_size(n: int) -> None:
+    """Refuse a steering bound beyond the polynomial settings cap."""
+    if n > MAX_STEERING_SETTINGS:
+        raise ResourceLimitError(
+            f"steering bound over {n} settings exceeds the cap of "
+            f"{MAX_STEERING_SETTINGS} settings"
         )
 
 

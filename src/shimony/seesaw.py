@@ -27,6 +27,8 @@ DEFAULT_RESTARTS = 32
 # time; the working arrays stay O(group * n) for any restart count.
 _RESTART_GROUP = 256
 
+_WORD = (1 << 64) - 1
+
 
 def _respond(resultants: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions opposing each resultant row, and the values they yield.
@@ -155,6 +157,32 @@ def seesaw(
     )
 
 
+def _philox_key(seed: int, restart_index: int) -> int:
+    """(seed mod 2**64) << 64 | (restart_index mod 2**64)."""
+    return (int(seed) % (1 << 64)) << 64 | (int(restart_index) % (1 << 64))
+
+
+def _seat(bit_generator: np.random.Philox, seed: int, restart_index: int) -> None:
+    """Put bit_generator in the state of a fresh Philox keyed by (seed, restart_index)."""
+    key = _philox_key(seed, restart_index)
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([key & _WORD, key >> 64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _unit_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    v = rng.standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 def random_measurement_set(n: int, seed: int, restart_index: int = 0) -> np.ndarray:
     """Uniform random unit directions from a counter-keyed Philox stream.
 
@@ -162,10 +190,8 @@ def random_measurement_set(n: int, seed: int, restart_index: int = 0) -> np.ndar
     (seed, restart) pair owns an independent reproducible stream regardless
     of how restarts are scheduled.
     """
-    key = (int(seed) % (1 << 64)) << 64 | (int(restart_index) % (1 << 64))
-    rng = np.random.Generator(np.random.Philox(key=key))
-    v = rng.standard_normal((n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    key = _philox_key(seed, restart_index)
+    return _unit_rows(np.random.Generator(np.random.Philox(key=key)), n)
 
 
 def multistart_seesaw(
@@ -190,13 +216,22 @@ def multistart_seesaw(
     m = as_coefficient_matrix(m)
     n = m.shape[0]
     mf = m.astype(np.float64)
+    # One bit generator, put at the start of each restart's stream: the same
+    # draws as `random_measurement_set`, without building a Philox (and
+    # reading OS entropy) per restart.
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+
+    def start_set(index: int) -> np.ndarray:
+        _seat(bit_generator, seed, index)
+        return _unit_rows(rng, n)
+
     best: OptimizationResult | None = None
     for first in range(0, restarts, _RESTART_GROUP):
         indices = range(first, min(first + _RESTART_GROUP, restarts))
         # Renormalized as `seesaw` renormalizes its start set.
         starts = normalize_unit_rows(
-            np.stack([random_measurement_set(n, seed, index) for index in indices]),
-            "direction {i}",
+            np.stack([start_set(index) for index in indices]), "direction {i}"
         )
         result = _best_run(mf, starts, tol, max_iter, record_trajectory, first)
         if best is None or result.value > best.value:

@@ -6,7 +6,11 @@ With Bob's directions fixed, the best local-hidden-state model value is
     c_j = sum_i m[i][j] A_i,
 
 because Bob's optimal single qubit state for a fixed Alice assignment is the
-unit vector along the resultant sum_j c_j b_j. The Werner visibility
+unit vector along the resultant sum_j c_j b_j. With w = m @ bob the resultant
+is sum_i A_i w_i, a vertex of the zonotope sum_i [-w_i, w_i] at the maximum,
+and that zonotope has only O(n**2) vertices (Edelsbrunner, O'Rourke & Seidel,
+SIAM J. Comput. 15, 1986; Ferrez, Fukuda & Liebling, EJOR 166, 2005), so the
+bound is exact in polynomial time, with no 2**n scan. The Werner visibility
 thresholds follow by dividing the classical bounds by the quantum maximum:
 above V_LHV the state violates the Bell inequality, above V_LHS its steering
 counterpart.
@@ -15,21 +19,44 @@ counterpart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import cos, pi, sqrt
 
 import numpy as np
 
-from . import _kernels
 from .matrices import (
     as_coefficient_matrix,
-    assignment_from_index,
     lhv_bound_bruteforce,
-    require_enumerable,
     require_even_settings,
+    require_steering_size,
 )
 from .quantum import DEGENERATE_DIRECTION, ZERO_RESULTANT_TOL, as_measurement_set
 
 ORACLE_GRID_SIZE = 4096
+
+# Absolute tolerance for "same norm" when picking the lexicographically
+# smallest steering witness among float ties.
+STEERING_TIE_TOL = 1e-12
+
+# Sine of the angle below which two generators count as parallel, or a
+# generator as lying in the plane of a pair of generators.
+_DEGENERATE_SINE = 1e-10
+
+# Entries per (i, j, k) block array of the vertex search, float64 (2 MB).
+_BLOCK_ENTRIES = 1 << 18
+
+# (d @ _SKEW).reshape(3, 3) is the matrix of x -> d x x.
+_SKEW = np.array(
+    [
+        [[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+        [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+        [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
+    ],
+    dtype=np.float64,
+).reshape(3, 9)
+
+# The signs of sigma and of s_i over a pair's four candidates.
+_SIGNS = np.array([1.0, -1.0])
 
 # Reference values for the catalog bounds, kept for reporting. The 10-setting
 # figure is a tabulated decimal that does not match the value computed from
@@ -69,19 +96,199 @@ class SteeringBoundResult:
     column_sums: np.ndarray
 
 
-def steering_lhs_bound(m, bob) -> SteeringBoundResult:
-    """Enumerate Alice assignments for the LHS bound over fixed Bob directions.
+def _merge_parallel(d: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Group labels and orientations (+1 or -1) of parallel and antiparallel unit rows.
 
-    Ties resolve to the lexicographically smallest witness (within 1e-12 on
-    the norm, -1 < +1). The value is recomputed from the witness's integer
-    column sums, so it does not depend on how the kernel sums the resultants.
+    Each group is labelled in order of its first row and oriented along it.
+    Returns None when no two rows are parallel.
+    """
+    # |cos| > 0.999 is a safe prefilter: parallel rows reach 1 - 1e-16.
+    near = np.abs(d @ d.T) > 0.999
+    if np.count_nonzero(near) == len(d):
+        return None
+    i, j = np.nonzero(np.triu(near, 1))
+    cross = np.cross(d[i], d[j])
+    parallel = np.einsum("pr,pr->p", cross, cross) <= _DEGENERATE_SINE**2
+    if not parallel.any():
+        return None
+    leader = np.arange(len(d))
+    np.minimum.at(leader, j[parallel], i[parallel])
+    while np.any(leader[leader] != leader):
+        leader = leader[leader]
+    orientation = np.where(np.einsum("ij,ij->i", d, d[leader]) < 0, -1.0, 1.0)
+    return np.unique(leader, return_inverse=True)[1], orientation
+
+
+@lru_cache(maxsize=16)
+def _masks(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (g, g) masks: i == j, i != j, and j < i."""
+    eye = np.eye(g, dtype=bool)
+    masks = (eye, ~eye, np.tri(g, k=-1, dtype=bool))
+    for mask in masks:
+        mask.setflags(write=False)
+    return masks
+
+
+def _floor(top: float, margin: float) -> float:
+    """(sqrt(top) - margin)**2 for a squared norm top, never above top.
+
+    The cap keeps top itself at the floor when margin is below the rounding
+    of sqrt(top), as it is for norms past about 1e4.
+    """
+    floor = sqrt(top) - margin
+    return min(top, floor * abs(floor))
+
+
+def _vertex_candidates(
+    gen: np.ndarray, d: np.ndarray, window: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The zonotope's vertices within window of the largest norm.
+
+    Returns their sign patterns over gen, their resultants and their squared
+    norms. gen holds pairwise non-parallel generators and d their unit rows.
+    Every vertex of the zonotope sum_k [-gen_k, gen_k] lies on a face with
+    normal u = d_i x d_j for an ordered pair i != j. The generators off the
+    face's plane take sign(d_k . u). The in-plane ones span a zonogon with
+    two edges parallel to gen_i: along the in-plane direction v = u x d_i
+    (or -v) every other in-plane generator takes sign(d_k . v), and gen_i
+    takes either sign. So
+    each pair gives four vertices (the four (s_i, s_j) in general position),
+    and the pairs of a plane holding m >= 3 generators give all 2m vertices
+    of its face. The pair (j, i) gives the opposite face -u. Every in-plane j
+    gives the same four vertices, so only the pair with the smallest such j
+    is kept. Pairs are taken in blocks of first indices so that each
+    (i, j, k) array stays within _BLOCK_ENTRIES entries.
+    """
+    g = len(gen)
+    if g == 1:
+        return np.ones((1, 1)), gen.copy(), np.einsum("ij,ij->i", gen, gen)
+    eye, other, lower = _masks(g)
+    skew = (d @ _SKEW).reshape(g, 3, 3)
+    rows = max(1, _BLOCK_ENTRIES // (g * g))
+    found = []
+    best = 0.0
+    for a in range(0, g, rows):
+        block = slice(a, a + rows)
+        normals = (skew[block] @ d.T).transpose(0, 2, 1)  # [i, j] = u = d_i x d_j
+        triple = normals @ d.T  # [i, j, k] = d_k . u
+        sizes = np.einsum("ijr,ijr->ij", normals, normals)
+        in_plane = triple * triple <= _DEGENERATE_SINE**2 * sizes[..., None]
+        in_plane |= eye
+        in_plane |= eye[block, None]
+        # [i, j, k] = d_k . v = (d_i x d_j) . (d_i x d_k), which is |u|**2 > 0
+        # at k = j however close d_i and d_j are
+        across = normals @ normals.transpose(0, 2, 1)
+        off = np.sign(triple) * ~in_plane
+        edge = np.sign(across) * (in_plane & other[block, None])
+        faces = np.empty((2,) + off.shape)  # [sigma, i, j] = off + sigma edge
+        np.add(off, edge, out=faces[0])
+        np.subtract(off, edge, out=faces[1])
+        # [sigma, s_i, i, j] = faces @ gen + s_i gen_i
+        sums = (faces @ gen)[:, None] + _SIGNS[:, None, None, None] * gen[block, None]
+        # A pair counts if i != j and no in-plane k other than i precedes j.
+        repeated = np.any(in_plane & other[block, None] & lower, axis=2)
+        lengths = np.einsum("abijr,abijr->abij", sums, sums) * (other[block] & ~repeated)
+        best = max(best, lengths.max())
+        pick = np.nonzero(lengths >= _floor(best, window))
+        sigma, s_i, i, j = pick
+        patterns = faces[sigma, i, j]
+        patterns[np.arange(len(i)), a + i] = _SIGNS[s_i]
+        found.append((patterns, sums[pick], lengths[pick]))
+    if len(found) == 1:
+        return found[0]
+    patterns, sums, lengths = (np.concatenate(parts) for parts in zip(*found))
+    keep = lengths >= _floor(best, window)
+    return patterns[keep], sums[keep], lengths[keep]
+
+
+def _lhs_witness(w: np.ndarray) -> np.ndarray:
+    """Alice's smallest assignment within STEERING_TIE_TOL of max_A ||A @ w||.
+
+    The maximum is a vertex of the zonotope sum_i [-w_i, w_i], so only its
+    O(n**2) vertices are scored (`_vertex_candidates`), after three
+    reductions:
+
+    * rows whose flip moves any norm by at most the tolerance (zero rows
+      among them) are left out, and then take the sign of w_i . r, where r
+      is the candidate's resultant (-1 on 0);
+    * parallel and antiparallel rows are merged, each oriented along its
+      group's first row;
+    * when one direction remains (all rows collinear) it is the one vertex.
+
+    Of the candidates within the tolerance of the largest norm, and their
+    mirrors -A, each flips its +1 rows to -1 in index order while the norm
+    stays within the tolerance. The smallest result in lexicographic order
+    (-1 < +1) is the witness.
+    """
+    squares = np.einsum("ij,ij->i", w, w)
+    norms = np.sqrt(squares)
+    live = norms > STEERING_TIE_TOL / 2
+    everything = live.all()
+    direct = False  # whether the candidates' own sums are final
+    if everything or live.any():
+        gen = w if everything else w[live]
+        d = gen / norms[live, None]
+        merged = _merge_parallel(d)
+        direct = everything and merged is None
+        if direct:
+            a, r, lengths = _vertex_candidates(gen, d, STEERING_TIE_TOL)
+        else:
+            if merged is not None:
+                group, orientation = merged
+                gen = np.zeros((group.max() + 1, 3))
+                np.add.at(gen, group, orientation[:, None] * w[live])
+                d = gen / np.linalg.norm(gen, axis=1, keepdims=True)
+            # Signing the left-out rows moves each candidate's norm by at
+            # most the sum of their lengths, so two candidates' order can
+            # change by twice that.
+            window = STEERING_TIE_TOL + 2 * norms[~live].sum()
+            patterns = _vertex_candidates(gen, d, window)[0]
+            if merged is not None:
+                patterns = patterns[:, group] * orientation
+            a = -np.ones((len(patterns), len(w)))
+            a[:, live] = patterns
+    else:
+        a = -np.ones((1, len(w)))
+    if not direct:
+        a[:, ~live] = np.where(a @ w @ w[~live].T > 0, 1.0, -1.0)
+        r = a @ w
+        lengths = np.einsum("ij,ij->i", r, r)
+    floor = _floor(lengths.max(), STEERING_TIE_TOL)
+    if not direct:
+        tied = lengths >= floor
+        a, r, lengths = a[tied], r[tied], lengths[tied]
+    # Flipping row k of a, or of its mirror -a, leaves ||r - 2 a_k w_k||**2.
+    flips = lengths[:, None] + 4 * squares - 4 * a * (r @ w.T) >= floor
+    starts = np.concatenate((a, -a))
+    if not everything:
+        starts[:, squares == 0] = -1.0
+        flips &= squares > 0
+    flips = np.concatenate((flips, flips)) & (starts > 0)
+    if flips.sum(axis=1).max() <= 1:  # no start has two such rows to choose between
+        starts[flips] = -1.0
+    else:
+        r = np.concatenate((r, -r))
+        for k in np.flatnonzero(flips.any(axis=0)):
+            trial = r - 2 * w[k]
+            ok = flips[:, k] & (np.einsum("ij,ij->i", trial, trial) >= floor)
+            starts[ok, k] = -1.0
+            r[ok] = trial[ok]
+    return starts[np.lexsort(starts.T[::-1])[0]].astype(np.int64)
+
+
+def steering_lhs_bound(m, bob) -> SteeringBoundResult:
+    """Exact LHS bound over fixed Bob directions, from the zonotope's vertices.
+
+    Ties resolve to the lexicographically smallest witness (within
+    STEERING_TIE_TOL on the norm, -1 < +1). The value is recomputed from the
+    witness's integer column sums, so it does not depend on how the
+    candidates' resultants were summed.
     """
     m = as_coefficient_matrix(m)
     n = m.shape[0]
     bob = as_measurement_set(bob, n)
-    require_enumerable(n)
-    _value, index = _kernels.steering_max(m, bob)
-    alice = assignment_from_index(index, n)
+    require_steering_size(n)
+    alice = _lhs_witness(m.astype(np.float64) @ bob)
     column_sums = alice @ m
     resultant = column_sums.astype(np.float64) @ bob
     norm = float(np.linalg.norm(resultant))
@@ -114,9 +321,9 @@ def steering_lhs_bound_oracle(m, bob, grid_size: int = ORACLE_GRID_SIZE) -> floa
 
         C_LHS = max_A max_{|v|=1} sum_i A_i (w_i . v) = max_{|v|=1} sum_i |w_i . v|,
 
-    the support function of the zonotope sum_i [-w_i, w_i]. No assignment is
-    enumerated and no resultant is formed, so this shares nothing with the
-    enumeration kernel; its cost is O(grid_size * n) with no 2**n factor.
+    the support function of the zonotope sum_i [-w_i, w_i]. No assignment,
+    vertex or resultant is formed, so this shares nothing with the vertex
+    search of `steering_lhs_bound`; its cost is O(grid_size * n).
 
     The payoff is scored on a Fibonacci grid of N = grid_size Bloch states
     whose covering radius is below rho = sqrt(4 pi / N): the largest
@@ -130,7 +337,7 @@ def steering_lhs_bound_oracle(m, bob, grid_size: int = ORACLE_GRID_SIZE) -> floa
     m = as_coefficient_matrix(m)
     n = m.shape[0]
     bob = as_measurement_set(bob, n)
-    require_enumerable(n)
+    require_steering_size(n)
     if grid_size < 16:
         raise ValueError(f"grid_size must be >= 16, got {grid_size}")
     mf = m.astype(np.float64)

@@ -84,6 +84,84 @@ def test_out_of_memory_exits_4(capsys, monkeypatch, command, exc, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "30000", "--bruteforce"], "2**30000 assignments exceeds the cap of 24"),
+        (["lhs", "30000"], "steering bound over 30000 settings exceeds the cap of 300"),
+        (["lhs", "302", "--oracle"], "steering bound over 302 settings exceeds the cap of 300"),
+        (["thresholds", "26"], "2**26 assignments exceeds the cap of 24"),
+        (["thresholds", "30000", "--quantum-max", "seesaw"], "exceeds the cap of 24"),
+    ],
+)
+def test_caps_refuse_before_the_matrix_is_built(tmp_path, capsys, monkeypatch, argv, message):
+    def refuse(n):
+        raise AssertionError(f"built the {n} x {n} matrix")
+
+    monkeypatch.setattr(cli.matrices, "build_as_matrix", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert message in err
+    # The cap comes before the directions file is read: a malformed one
+    # would exit 2.
+    path = tmp_path / "large.json"
+    path.write_text("{not json")
+    if argv[0] != "bounds":
+        code, _, err = run_cli(capsys, *argv, "--directions", str(path))
+        assert code == 4 and message in err
+
+
+def test_lhs_beyond_the_enumeration_cap(tmp_path, capsys):
+    # The steering bound is polynomial: n = 40 runs, and agrees with the oracle.
+    n = 40
+    bob = np.random.default_rng(40).standard_normal((n, 3))
+    bob /= np.linalg.norm(bob, axis=1, keepdims=True)
+    path = tmp_path / "bob40.json"
+    path.write_text(json.dumps({"n": n, "bob": bob.tolist()}))
+    argv = ["lhs", str(n), "--directions", str(path), "--oracle", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    row = dict(zip(doc["tables"][0]["columns"], doc["tables"][0]["rows"][0]))
+    assert row["oracle_delta"] <= 1e-12 * row["c_lhs"]
+    assert len(doc["witness"]) == n and doc["witness"][0] == -1
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    # Outputs, refusals and exit codes of a run of main() calls on the cached
+    # parser are byte-identical to the same calls each on a fresh parser.
+    sequence = [
+        ["thresholds", "4"],
+        ["matrix", "3"],
+        ["lhs", "2", "--format", "csv"],
+        ["nonsense"],
+        ["bounds", "6", "--format", "json"],
+        ["--version"],
+        ["seesaw", "4", "--restarts", "3", "--format", "csv"],
+        ["lhs", "4", "--format", "bad"],
+        ["thresholds", "4"],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cached = [run(argv) for argv in sequence]
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 2, 0, 2, 0, 0, 0, 2, 0]
+    assert cached[5][1].startswith("shimony ")
+
+
 def test_lhs_catalog(capsys):
     code, out, _ = run_cli(capsys, "lhs", "4", "--format", "json")
     assert code == 0

@@ -114,6 +114,43 @@ def test_random_measurement_set_keying():
     assert np.allclose(np.linalg.norm(first, axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "seed, restart_index", [(0, 0), (7, 5), (-3, 1), (2**40, 2), (11, 2**63), (-3, 2**64 + 5)]
+)
+def test_seated_bit_generator_matches_fresh_philox(seed, restart_index):
+    # multistart_seesaw reuses one bit generator, seated at each restart's
+    # stream; its draws must be those of a fresh Generator(Philox(key=...)).
+    key = (seed % 2**64) << 64 | (restart_index % 2**64)
+    fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal((6, 3))
+    module = sys.modules["shimony.seesaw"]
+    bit_generator = np.random.Philox(key=12345)
+    used = np.random.Generator(bit_generator)
+    used.standard_normal(5)
+    used.integers(0, 7, size=3, dtype=np.uint32)  # leaves half a word buffered
+    module._seat(bit_generator, seed, restart_index)
+    assert np.array_equal(used.standard_normal((6, 3)), fresh)
+    expected = fresh / np.linalg.norm(fresh, axis=1, keepdims=True)
+    assert np.array_equal(random_measurement_set(6, seed, restart_index), expected)
+
+
+@pytest.mark.parametrize("seed", [-3, 2**40])
+def test_multistart_start_sets_are_the_keyed_streams(monkeypatch, seed):
+    module = sys.modules["shimony.seesaw"]
+    drawn = []
+    unit_rows = module._unit_rows
+
+    def record(rng, n):
+        drawn.append(unit_rows(rng, n))
+        return drawn[-1]
+
+    monkeypatch.setattr(module, "_unit_rows", record)
+    multistart_seesaw(build_as_matrix(6), restarts=3, seed=seed, max_iter=1)
+    monkeypatch.undo()
+    assert len(drawn) == 3
+    for index, start in enumerate(drawn):
+        assert np.array_equal(start, random_measurement_set(6, seed, index))
+
+
 def test_parameter_validation(monkeypatch):
     m = build_as_matrix(2)
     start = random_measurement_set(2, seed=0)
@@ -129,6 +166,7 @@ def test_parameter_validation(monkeypatch):
         raise AssertionError("a start set was drawn")
 
     monkeypatch.setattr(sys.modules["shimony.seesaw"], "random_measurement_set", refuse)
+    monkeypatch.setattr(sys.modules["shimony.seesaw"], "_unit_rows", refuse)
     with pytest.raises(ValueError, match="tol must be positive, got 0.0"):
         multistart_seesaw(m, tol=0.0)
     with pytest.raises(ValueError, match="tol must be positive, got -1e-09"):

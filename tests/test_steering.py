@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from helpers import random_rotation, random_unit_rows
 from shimony.catalog import catalog_directions
 from shimony.matrices import (
+    MAX_STEERING_SETTINGS,
     ResourceLimitError,
     build_as_matrix,
     lhv_bound_bruteforce,
+    lhv_bound_closed_form,
 )
 from shimony.quantum import max_quantum_closed_form
 from shimony.seesaw import random_measurement_set
@@ -163,8 +165,6 @@ def test_thresholds_n2_and_n4():
 
 @pytest.mark.parametrize("n", range(2, 14, 2))
 def test_visibility_lhv_closed_form_is_the_quotient(n):
-    from shimony.matrices import lhv_bound_closed_form
-
     quotient = lhv_bound_closed_form(n) / max_quantum_closed_form(n)
     assert visibility_lhv_closed_form(n) == pytest.approx(quotient, abs=1e-12)
 
@@ -184,12 +184,84 @@ def test_dimension_mismatch():
 
 
 def test_resource_cap():
-    n = 26
+    # The vertex search is polynomial, so the steering cap is 300 settings
+    # (about 1 s a call), not the 24 of the LHV enumeration.
+    assert MAX_STEERING_SETTINGS == 300
+    n = MAX_STEERING_SETTINGS + 2
     bob = random_measurement_set(n, seed=0)
-    with pytest.raises(ResourceLimitError, match="exceeds the cap of 24 settings"):
+    message = "steering bound over 302 settings exceeds the cap of 300 settings"
+    with pytest.raises(ResourceLimitError, match=message):
         steering_lhs_bound(build_as_matrix(n), bob)
-    with pytest.raises(ResourceLimitError, match="exceeds the cap of 24 settings"):
+    with pytest.raises(ResourceLimitError, match=message):
         steering_lhs_bound_oracle(build_as_matrix(n), bob)
+
+
+def test_memory_at_the_cap_is_bounded():
+    n = MAX_STEERING_SETTINGS
+    m = build_as_matrix(n)
+    bob = random_unit_rows(np.random.default_rng(n), n)
+    tracemalloc.start()
+    try:
+        result = steering_lhs_bound(m, bob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert result.value <= lhv_bound_closed_form(n)
+    assert steering_lhs_bound_oracle(m, bob) == pytest.approx(result.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, MAX_STEERING_SETTINGS])
+def test_one_bob_direction_closed_form(n):
+    # With every Bob direction equal, all rows of m @ bob are collinear and
+    # C_LHS = sum_i |sum_j m_ij|. At n = 300 the norm is about 2e4, past the
+    # point where the 1e-12 tie tolerance is below float resolution.
+    m = build_as_matrix(n)
+    bob = np.tile(random_unit_rows(np.random.default_rng(n), 1), (n, 1))
+    result = steering_lhs_bound(m, bob)
+    assert result.value == pytest.approx(np.abs(m.sum(axis=1)).sum(), rel=1e-14)
+    assert result.alice_witness[0] == -1
+
+
+@pytest.mark.parametrize("scale", [10**3, 10**6])
+def test_large_norms_give_a_maximal_witness(scale):
+    # Norms of 1e4 to 1e8: ties are decided at float resolution, and the
+    # witness must still reach the maximum over all assignments.
+    rng = np.random.default_rng(scale)
+    for n in (3, 6, 9):
+        m = scale * rng.integers(-3, 4, size=(n, n))
+        bob = random_unit_rows(rng, n)
+        signs = np.array(np.meshgrid(*[[-1, 1]] * n, indexing="ij")).reshape(n, -1).T
+        best = np.linalg.norm((signs @ m).astype(np.float64) @ bob, axis=1).max()
+        result = steering_lhs_bound(m, bob)
+        assert result.value == pytest.approx(best, rel=1e-14)
+        assert result.alice_witness[0] == -1
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_linear_steering_inequality_closed_form(k):
+    # m = identity is the linear steering inequality (Cavalcanti, Jones,
+    # Wiseman & Reid, PRA 80, 032112 (2009)): with k orthogonal Bob
+    # directions C_LHS = sqrt(k), and the quantum value k gives V_LHS = 1/sqrt(k).
+    # k = 2 puts every generator in one plane; k = 3 is in general position.
+    rng = np.random.default_rng(k)
+    for bob in (np.eye(3)[:k], np.eye(3)[:k] @ random_rotation(rng).T):
+        result = steering_lhs_bound(np.eye(k), bob)
+        assert result.value == pytest.approx(math.sqrt(k), rel=1e-15)
+        assert np.array_equal(result.alice_witness, -np.ones(k))
+        pair = werner_thresholds(np.eye(k), bob, float(k))
+        assert pair.v_lhs == pytest.approx(1 / math.sqrt(k), rel=1e-15)
+        assert pair.v_lhv == 1.0
+        assert steering_lhs_bound_oracle(np.eye(k), bob) == pytest.approx(result.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [26, 40, 64])
+def test_bound_beyond_the_enumeration_cap_matches_the_oracle(n):
+    m = build_as_matrix(n)
+    bob = random_unit_rows(np.random.default_rng(n), n)
+    result = steering_lhs_bound(m, bob)
+    assert result.alice_witness[0] == -1
+    assert steering_lhs_bound_oracle(m, bob) == pytest.approx(result.value, rel=1e-12)
 
 
 def test_oracle_grid_validation():
