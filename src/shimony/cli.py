@@ -24,6 +24,9 @@ EXIT_INVALID = 2
 EXIT_ANOMALY = 3
 EXIT_RESOURCE = 4
 
+# What a command returns: its document (None when it wrote files) and exit code.
+Outcome = tuple[OutputDocument | None, int]
+
 
 def _metadata(**extra) -> dict:
     meta = {"tool": "shimony", "version": __version__, "backend": _kernels.backend_name()}
@@ -33,10 +36,6 @@ def _metadata(**extra) -> dict:
 
 def _signed_text(values) -> str:
     return " ".join(f"{int(v):+d}" for v in values)
-
-
-def _emit(doc: OutputDocument, fmt: str) -> None:
-    sys.stdout.write(doc.render(fmt))
 
 
 def _resolve_bob(args, n: int) -> tuple[np.ndarray, str]:
@@ -54,30 +53,45 @@ def _resolve_bob(args, n: int) -> tuple[np.ndarray, str]:
     return catalog.catalog_directions(n).bob_directions, "catalog"
 
 
-def _n10_discrepancy_note(computed: float, quantum_max: float) -> str:
-    ref = steering.LHS_BOUND_REFERENCES[10][1]
-    tab = steering.VISIBILITY_LHS_REFERENCES[10][1]
-    return (
-        f"computed bound {computed:.6f} disagrees with the tabulated reference "
-        f"{ref:.4f}; the computed quotient {computed / quantum_max:.6f} matches "
-        f"the tabulated visibility threshold {tab:.4f}, while the reference "
-        f"bound would imply {ref / quantum_max:.6f}; the two tabulated figures "
-        f"are mutually inconsistent and both are reported"
-    )
+_NO_FIGURES = steering.PaperFigures(None, None, None, None, None)
 
 
-def cmd_matrix(args) -> int:
+def _steering_report(n: int, source: str, lhs, quantum_max: float):
+    """Paper figures (none for a directions file), Bob-state and witness cells, JSON extras."""
+    figures = _NO_FIGURES
+    if source == "catalog":
+        figures = steering.paper_figures(n, lhs.value, quantum_max)
+    state = lhs.bob_state_direction.tolist()
+    cells = dict(zip(["bob_state_x", "bob_state_y", "bob_state_z"], state))
+    cells["witness"] = _signed_text(lhs.alice_witness)
+    return figures, cells, {"witness": lhs.alice_witness.tolist(), "bob_state": state}
+
+
+def _order_cells(n: int, pair, figures) -> dict:
+    """One order's thresholds and tabulated figures, in the columns of thresholds."""
+    return {
+        "n": n,
+        "c_lhv": pair.c_lhv,
+        "c_lhs": pair.lhs.value,
+        "quantum_max": pair.quantum_max,
+        "v_lhv": pair.v_lhv,
+        "v_lhs": pair.v_lhs_fixed_bob,
+        "v_lhs_reference": figures.v_lhs,
+        "v_lhs_from_reference_bound": figures.v_lhs_from_c_lhs,
+    }
+
+
+def cmd_matrix(args) -> Outcome:
     m = matrices.build_as_matrix(args.n)
     table = Table(
         name="matrix",
         columns=[f"c{j}" for j in range(1, args.n + 1)],
         rows=[[int(x) for x in row] for row in m],
     )
-    _emit(OutputDocument("matrix", [table], metadata=_metadata(n=args.n)), args.format)
-    return EXIT_OK
+    return OutputDocument("matrix", [table], metadata=_metadata(n=args.n)), EXIT_OK
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> Outcome:
     n = matrices.require_even_settings(args.n)
     columns = ["n", "c_lhv"]
     row: list = [n, matrices.lhv_bound_closed_form(n)]
@@ -91,126 +105,60 @@ def cmd_bounds(args) -> int:
             _signed_text(result.bob_witness),
         ]
     doc = OutputDocument("bounds", [Table("bounds", columns, [row])], metadata=_metadata(n=n))
-    _emit(doc, args.format)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_lhs(args) -> int:
+def cmd_lhs(args) -> Outcome:
     n = matrices.require_even_settings(args.n)
     matrices.require_steering_size(n)
     bob, source = _resolve_bob(args, n)
     m = matrices.build_as_matrix(n)
     result = steering.steering_lhs_bound(m, bob)
-
-    reference = steering.LHS_BOUND_REFERENCES.get(n) if source == "catalog" else None
-    columns = ["n", "c_lhs", "c_lhs_reference", "bob_state_x", "bob_state_y", "bob_state_z", "witness"]
-    row: list = [
-        n,
-        result.value,
-        None if reference is None else reference[1],
-        result.bob_state_direction[0],
-        result.bob_state_direction[1],
-        result.bob_state_direction[2],
-        _signed_text(result.alice_witness),
-    ]
-    notes = []
+    figures, steering_cells, extra = _steering_report(
+        n, source, result, quantum.max_quantum_closed_form(n)
+    )
+    cells = {"n": n, "c_lhs": result.value, "c_lhs_reference": figures.c_lhs} | steering_cells
     metadata = _metadata(n=n, directions_source=source)
-    if reference is not None:
-        metadata["reference"] = reference[0]
+    if figures.c_lhs_label is not None:
+        metadata["reference"] = figures.c_lhs_label
     if args.oracle:
         oracle_value = steering.steering_lhs_bound_oracle(m, bob)
-        columns += ["c_lhs_oracle", "oracle_delta"]
-        row += [oracle_value, abs(oracle_value - result.value)]
-    if source == "catalog" and n == 10:
-        notes.append(_n10_discrepancy_note(result.value, quantum.max_quantum_closed_form(10)))
-    doc = OutputDocument(
-        "lhs",
-        [Table("lhs", columns, [row])],
-        notes=notes,
-        metadata=metadata,
-        extra={
-            "witness": [int(v) for v in result.alice_witness],
-            "bob_state": [float(v) for v in result.bob_state_direction],
-        },
-    )
-    _emit(doc, args.format)
-    return EXIT_OK
+        cells.update(c_lhs_oracle=oracle_value, oracle_delta=abs(oracle_value - result.value))
+    table = Table("lhs", list(cells), [list(cells.values())])
+    return OutputDocument("lhs", [table], list(figures.notes), metadata, extra), EXIT_OK
 
 
-def cmd_thresholds(args) -> int:
+def cmd_thresholds(args) -> Outcome:
     n = matrices.require_even_settings(args.n)
     matrices.require_enumerable(n)  # C_LHV is a 2**n scan: its cap is the lower one
     bob, source = _resolve_bob(args, n)
     m = matrices.build_as_matrix(n)
-    if args.quantum_max == "seesaw":
-        quantum_max = multistart_seesaw(m, restarts=args.restarts, seed=args.seed).value
-    else:
-        quantum_max = quantum.max_quantum_closed_form(n)
-    lhv = matrices.lhv_bound_bruteforce(m)
-    lhs = steering.steering_lhs_bound(m, bob)
-    v_lhv = lhv.value / quantum_max
-    v_lhs = lhs.value / quantum_max
-
-    reference = steering.VISIBILITY_LHS_REFERENCES.get(n) if source == "catalog" else None
-    bound_reference = steering.LHS_BOUND_REFERENCES.get(n) if source == "catalog" else None
-    columns = [
-        "n",
-        "c_lhv",
-        "c_lhs",
-        "quantum_max",
-        "v_lhv",
-        "v_lhs",
-        "v_lhs_reference",
-        "v_lhs_from_reference_bound",
-        "bob_state_x",
-        "bob_state_y",
-        "bob_state_z",
-        "witness",
-    ]
-    row: list = [
-        n,
-        lhv.value,
-        lhs.value,
-        quantum_max,
-        v_lhv,
-        v_lhs,
-        None if reference is None else reference[1],
-        None if bound_reference is None else bound_reference[1] / quantum_max,
-        lhs.bob_state_direction[0],
-        lhs.bob_state_direction[1],
-        lhs.bob_state_direction[2],
-        _signed_text(lhs.alice_witness),
-    ]
-    notes = []
     metadata = _metadata(n=n, directions_source=source, quantum_max_source=args.quantum_max)
     if args.quantum_max == "seesaw":
+        quantum_max = multistart_seesaw(m, restarts=args.restarts, seed=args.seed).value
         metadata.update(restarts=args.restarts, seed=args.seed)
-    if reference is not None:
-        metadata["v_lhs_reference"] = reference[0]
-    if bound_reference is not None:
-        metadata["c_lhs_reference"] = bound_reference[0]
-    if source == "catalog" and n == 10:
-        notes.append(_n10_discrepancy_note(lhs.value, quantum_max))
-    doc = OutputDocument(
-        "thresholds",
-        [Table("thresholds", columns, [row])],
-        notes=notes,
-        metadata=metadata,
-        extra={
-            "n": n,
-            "c_lhs": lhs.value,
-            "c_lhv": lhv.value,
-            "v_lhs": v_lhs,
-            "v_lhv": v_lhv,
-            "witness": [int(v) for v in lhs.alice_witness],
-            "bob_state": [float(v) for v in lhs.bob_state_direction],
-        },
-    )
-    _emit(doc, args.format)
-    return EXIT_OK
+    else:
+        quantum_max = quantum.max_quantum_closed_form(n)
+    pair = steering.werner_thresholds(m, bob, quantum_max)
+    figures, steering_cells, extra = _steering_report(n, source, pair.lhs, quantum_max)
+    cells = _order_cells(n, pair, figures)
+    if figures.v_lhs_label is not None:
+        metadata.update(v_lhs_reference=figures.v_lhs_label, c_lhs_reference=figures.c_lhs_label)
+    notes = list(figures.notes)
+    extra = {key: cells[key] for key in ("n", "c_lhs", "c_lhv", "v_lhs", "v_lhv")} | extra
+    if pair.below_quantum_max:
+        metadata["v_lhs_denominator"] = "quantum_value_directions"
+        extra["quantum_value_directions"] = pair.lhs.quantum_value
+        notes.append(
+            f"the directions reach the quantum value {pair.lhs.quantum_value:.6f}, below the "
+            f"quantum maximum {quantum_max:.6f}; v_lhs is c_lhs divided by the former"
+        )
+    cells |= steering_cells
+    table = Table("thresholds", list(cells), [list(cells.values())])
+    return OutputDocument("thresholds", [table], notes, metadata, extra), EXIT_OK
 
 
-def cmd_seesaw(args) -> int:
+def cmd_seesaw(args) -> Outcome:
     n = matrices.require_even_settings(args.n)
     m = matrices.build_as_matrix(n)
     result = multistart_seesaw(
@@ -249,56 +197,47 @@ def cmd_seesaw(args) -> int:
             "bob": result.bob,
         },
     )
-    _emit(doc, args.format)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_tables(args) -> int:
-    rows1, rows2, rows_f2, rows_f3 = [], [], [], []
+# The columns of each table, and the note cell each gives an order whose
+# tabulated figures disagree.
+_TABLES = {
+    "table1": ["n", "c_lhv", "c_lhs", "c_lhs_reference", "note"],
+    "table2": ["n", "v_lhv", "v_lhs", "v_lhs_reference", "v_lhs_from_reference_bound", "note"],
+    "figure2": ["n", "c_lhv", "c_lhs"],
+    "figure3": ["n", "v_lhv", "v_lhs"],
+}
+_TABLE_NOTES = {
+    "table1": "inconsistent tabulated reference",
+    "table2": "reference figures mutually inconsistent",
+}
+
+
+def cmd_tables(args) -> Outcome:
+    rows = {name: [] for name in _TABLES}
     notes = []
     for n in catalog.SUPPORTED_SETTINGS:
-        m = matrices.build_as_matrix(n)
-        entry = catalog.catalog_directions(n)
-        lhv = matrices.lhv_bound_bruteforce(m).value
-        lhs = steering.steering_lhs_bound(m, entry.bob_directions).value
         quantum_max = quantum.max_quantum_closed_form(n)
-        v_lhv = lhv / quantum_max
-        v_lhs = lhs / quantum_max
-        bound_ref = steering.LHS_BOUND_REFERENCES[n][1]
-        visibility_ref = steering.VISIBILITY_LHS_REFERENCES[n][1]
-        note1 = "inconsistent tabulated reference" if n == 10 else ""
-        note2 = "reference figures mutually inconsistent" if n == 10 else ""
-        rows1.append([n, lhv, lhs, bound_ref, note1])
-        rows2.append([n, v_lhv, v_lhs, visibility_ref, bound_ref / quantum_max, note2])
-        rows_f2.append([n, lhv, lhs])
-        rows_f3.append([n, v_lhv, v_lhs])
-        if n == 10:
-            notes.append(_n10_discrepancy_note(lhs, quantum_max))
-
-    doc = OutputDocument(
-        "tables",
-        [
-            Table("table1", ["n", "c_lhv", "c_lhs", "c_lhs_reference", "note"], rows1),
-            Table(
-                "table2",
-                ["n", "v_lhv", "v_lhs", "v_lhs_reference", "v_lhs_from_reference_bound", "note"],
-                rows2,
-            ),
-            Table("figure2", ["n", "c_lhv", "c_lhs"], rows_f2),
-            Table("figure3", ["n", "v_lhv", "v_lhs"], rows_f3),
-        ],
-        notes=notes,
-        metadata=_metadata(orders=list(catalog.SUPPORTED_SETTINGS)),
-    )
+        bob = catalog.catalog_directions(n).bob_directions
+        pair = steering.werner_thresholds(matrices.build_as_matrix(n), bob, quantum_max)
+        figures = steering.paper_figures(n, pair.lhs.value, quantum_max)
+        notes += figures.notes
+        cells = _order_cells(n, pair, figures) | {"c_lhs_reference": figures.c_lhs}
+        for name, columns in _TABLES.items():
+            cells["note"] = _TABLE_NOTES.get(name, "") if figures.notes else ""
+            rows[name].append([cells[column] for column in columns])
+    tables = [Table(name, columns, rows[name]) for name, columns in _TABLES.items()]
+    metadata = _metadata(orders=list(catalog.SUPPORTED_SETTINGS))
+    doc = OutputDocument("tables", tables, notes, metadata)
     if args.outdir is not None:
         for path in doc.write_csv_files(args.outdir):
             print(f"wrote {path}")
-        return EXIT_OK
-    _emit(doc, args.format)
-    return EXIT_OK
+        return None, EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_verify_directions(args) -> int:
+def cmd_verify_directions(args) -> Outcome:
     report = catalog.verify_directions(args.n)
     rows = [
         [e.label, e.alice_source, e.value, report.target, e.deviation, report.tolerance, e.passed]
@@ -325,8 +264,7 @@ def cmd_verify_directions(args) -> int:
             "witness_bob": report.witness_bob,
         },
     )
-    _emit(doc, args.format)
-    return EXIT_OK if report.passed else EXIT_ANOMALY
+    return doc, EXIT_OK if report.passed else EXIT_ANOMALY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,7 +345,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        doc, code = args.handler(args)
+        if doc is not None:
+            sys.stdout.write(doc.render(args.format))
+        return code
     except (matrices.ResourceLimitError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE

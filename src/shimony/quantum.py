@@ -17,8 +17,6 @@ from .matrices import as_coefficient_matrix, require_even_settings
 
 # Inputs within this distance of unit norm are renormalized; worse is an error.
 UNIT_ACCEPT_TOL = 1e-9
-# Norm guaranteed after construction.
-UNIT_NORM_TOL = 1e-12
 
 # Canonical direction reported for degenerate (zero-resultant) cases.
 DEGENERATE_DIRECTION = np.array([0.0, 0.0, 1.0])

@@ -13,7 +13,8 @@ SIAM J. Comput. 15, 1986; Ferrez, Fukuda & Liebling, EJOR 166, 2005), so the
 bound is exact in polynomial time, with no 2**n scan. The Werner visibility
 thresholds follow by dividing the classical bounds by the quantum maximum:
 above V_LHV the state violates the Bell inequality, above V_LHS its steering
-counterpart.
+counterpart. A Bob set below the maximum steers only above C_LHS / Q(b), with
+Q(b) = sum_i ||(m @ bob)_i|| (Cavalcanti, Jones, Wiseman & Reid, PRA 80, 2009).
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ ORACLE_GRID_SIZE = 4096
 # Absolute tolerance for "same norm" when picking the lexicographically
 # smallest steering witness among float ties.
 STEERING_TIE_TOL = 1e-12
+
+# Relative shortfall of Q(b) below the quantum maximum past which V_LHS divides
+# by Q(b); the catalog sets fall short by at most 2.8e-10.
+QUANTUM_VALUE_GUARD = 1e-9
 
 # Sine of the angle below which two generators count as parallel, or a
 # generator as lying in the plane of a pair of generators.
@@ -80,6 +85,33 @@ VISIBILITY_LHS_REFERENCES = {
 }
 
 
+@dataclass(frozen=True)
+class PaperFigures:
+    """The tabulated C_LHS and V_LHS of one catalog order, with their labels."""
+
+    c_lhs_label: str | None
+    c_lhs: float | None
+    v_lhs_label: str | None
+    v_lhs: float | None
+    v_lhs_from_c_lhs: float | None  # the tabulated C_LHS over the quantum maximum
+    notes: tuple[str, ...] = ()
+
+
+def paper_figures(n: int, c_lhs: float, quantum_max: float) -> PaperFigures:
+    """The figures tabulated for catalog order n; at n = 10 a note sets c_lhs against both."""
+    (c_label, c_ref), (v_label, v_ref) = LHS_BOUND_REFERENCES[n], VISIBILITY_LHS_REFERENCES[n]
+    notes = ()
+    if n == 10:
+        notes = (
+            f"computed bound {c_lhs:.6f} disagrees with the tabulated reference "
+            f"{c_ref:.4f}; the computed quotient {c_lhs / quantum_max:.6f} matches "
+            f"the tabulated visibility threshold {v_ref:.4f}, while the reference "
+            f"bound would imply {c_ref / quantum_max:.6f}; the two tabulated figures "
+            f"are mutually inconsistent and both are reported",
+        )
+    return PaperFigures(c_label, c_ref, v_label, v_ref, c_ref / quantum_max, notes)
+
+
 def visibility_lhv_closed_form(n: int) -> float:
     """LHV visibility threshold 3 sqrt(N(N+2)) / (4(N+1))."""
     n = require_even_settings(n)
@@ -88,12 +120,17 @@ def visibility_lhv_closed_form(n: int) -> float:
 
 @dataclass(frozen=True)
 class SteeringBoundResult:
-    """LHS maximum with its witness assignment and Bob's optimal state."""
+    """LHS maximum with its witness assignment and Bob's optimal state.
+
+    quantum_value is Q(b) = sum_i ||(m @ bob)_i||, the best singlet value with
+    Bob's directions fixed (Alice's best response), so value <= quantum_value.
+    """
 
     value: float
     alice_witness: np.ndarray
     bob_state_direction: np.ndarray
     column_sums: np.ndarray
+    quantum_value: float
 
 
 def _merge_parallel(d: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -288,7 +325,8 @@ def steering_lhs_bound(m, bob) -> SteeringBoundResult:
     n = m.shape[0]
     bob = as_measurement_set(bob, n)
     require_steering_size(n)
-    alice = _lhs_witness(m.astype(np.float64) @ bob)
+    w = m.astype(np.float64) @ bob
+    alice = _lhs_witness(w)
     column_sums = alice @ m
     resultant = column_sums.astype(np.float64) @ bob
     norm = float(np.linalg.norm(resultant))
@@ -301,6 +339,7 @@ def steering_lhs_bound(m, bob) -> SteeringBoundResult:
         alice_witness=alice,
         bob_state_direction=direction,
         column_sums=column_sums,
+        quantum_value=float(np.linalg.norm(w, axis=1).sum()),
     )
 
 
@@ -369,16 +408,34 @@ def steering_lhs_bound_oracle(m, bob, grid_size: int = ORACLE_GRID_SIZE) -> floa
 
 @dataclass(frozen=True)
 class ThresholdPair:
-    """Werner visibility thresholds: Bell violation above v_lhv, steering above v_lhs."""
+    """Werner visibility thresholds of one order and Bob set, with their bounds.
+
+    v_lhv = c_lhv / quantum_max and v_lhs = lhs.value / quantum_max. When Q(b)
+    (lhs.quantum_value) falls short of quantum_max (below_quantum_max), the
+    Bob set steers only above v_lhs_fixed_bob = lhs.value / Q(b); otherwise
+    v_lhs_fixed_bob is v_lhs.
+    """
 
     v_lhv: float
     v_lhs: float
+    c_lhv: int
+    lhs: SteeringBoundResult
+    quantum_max: float
+    below_quantum_max: bool
+    v_lhs_fixed_bob: float
 
 
 def werner_thresholds(m, bob, quantum_max: float) -> ThresholdPair:
-    """Visibility thresholds from the enumerated bounds and a quantum maximum."""
+    """Visibility thresholds from the exact bounds and a quantum maximum.
+
+    Both divide by quantum_max, the caller's choice; for a Bob set whose Q(b)
+    is below it by more than QUANTUM_VALUE_GUARD, v_lhs_fixed_bob divides by Q(b).
+    """
     if not quantum_max > 0:
         raise ValueError(f"quantum maximum must be positive, got {quantum_max}")
     lhv = lhv_bound_bruteforce(m)
     lhs = steering_lhs_bound(m, bob)
-    return ThresholdPair(v_lhv=lhv.value / quantum_max, v_lhs=lhs.value / quantum_max)
+    v_lhs = lhs.value / quantum_max
+    below = lhs.quantum_value < quantum_max * (1 - QUANTUM_VALUE_GUARD)
+    fixed = lhs.value / lhs.quantum_value if below else v_lhs
+    return ThresholdPair(lhv.value / quantum_max, v_lhs, lhv.value, lhs, quantum_max, below, fixed)

@@ -13,6 +13,7 @@ import pytest
 
 from shimony import cli
 from shimony.catalog import catalog_directions, entry_to_dict
+from shimony.seesaw import random_measurement_set
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -284,6 +285,54 @@ def test_thresholds_10_emits_quotient_and_references(capsys):
     assert doc["notes"]
 
 
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+@pytest.mark.parametrize("quantum_max", ["closed-form", "seesaw"])
+def test_thresholds_of_a_set_below_the_maximum(tmp_path, capsys, fmt, quantum_max):
+    # This Bob set reaches Q(b) = 8.074378447 < q_max = 8.164965809, so it
+    # steers only above C_LHS / Q(b) = 5.722062136 / 8.074378447, whichever
+    # quantum maximum v_lhv divides by.
+    path = tmp_path / "bob4.json"
+    path.write_text(json.dumps({"n": 4, "bob": random_measurement_set(4, 9).tolist()}))
+    argv = ["thresholds", "4", "--directions", str(path), "--quantum-max", quantum_max]
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    note = "the directions reach the quantum value 8.074378, below the quantum maximum 8.164966"
+    if fmt == "pretty":
+        assert "0.7087" in out.splitlines()[2].split()
+        assert f"note: {note}" in out
+        return
+    if fmt == "csv":
+        header, cells, note_line = out.splitlines()
+        row = dict(zip(header.split(","), cells.split(",")))
+        assert float(row["v_lhs"]) == 0.708669054
+        assert note_line.startswith(f"# note: {note}")
+        return
+    doc = json.loads(out)
+    row = dict(zip(doc["tables"][0]["columns"], doc["tables"][0]["rows"][0]))
+    assert row["v_lhs"] == doc["v_lhs"] == 0.708669054
+    assert row["c_lhs"] == 5.722062136
+    assert row["v_lhv"] == pytest.approx(6 / 8.164965809, abs=1e-9)
+    assert doc["quantum_value_directions"] == 8.074378447
+    assert doc["metadata"]["v_lhs_denominator"] == "quantum_value_directions"
+    assert doc["notes"][0].startswith(note)
+
+
+def test_thresholds_of_the_catalog_set_from_a_file(tmp_path, capsys):
+    # The catalog sets reach the maximum within the guard: a file holding the
+    # n=10 set gives the golden v_lhs and no denominator note.
+    path = tmp_path / "bob10.json"
+    path.write_text(json.dumps(entry_to_dict(catalog_directions(10))))
+    argv = ["thresholds", "10", "--directions", str(path), "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    row = dict(zip(doc["tables"][0]["columns"], doc["tables"][0]["rows"][0]))
+    assert row["v_lhs"] == doc["v_lhs"] == 0.6779823865
+    assert doc["notes"] == []
+    assert "v_lhs_denominator" not in doc["metadata"]
+    assert "quantum_value_directions" not in doc
+
+
 def test_thresholds_seesaw_quantum_max(capsys):
     code, out, _ = run_cli(
         capsys, "thresholds", "2", "--quantum-max", "seesaw",
@@ -365,6 +414,23 @@ def test_seesaw_json_bytes_pinned(capsys, argv, row, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["tables"][0]["rows"][0] == row
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Catalog outputs whose JSON bytes, key order included, are part of the
+# contract; pinned by digest.
+JSON_PINS = [
+    (("thresholds", "4"), "face313369fc3f7c86d3230551178488c061cc1831c645c992f3073cadf77d39"),
+    (("thresholds", "10"), "a102cf62f9ba644dd238d8cdcb46463048a0f18a0f746ff6661203afecadb968"),
+    (("lhs", "10"), "b0680bd558741939e3fab2d008fdd933f0a0a8667c9e40ca30903f46392aee73"),
+    (("tables",), "11f6096a4b317422f7cf1e24221dd9f0ce377896f0875552879233a82fa9ab8c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", JSON_PINS, ids=[" ".join(a) for a, _ in JSON_PINS])
+def test_json_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 

@@ -17,8 +17,8 @@ from shimony.matrices import (
     lhv_bound_bruteforce,
     lhv_bound_closed_form,
 )
-from shimony.quantum import max_quantum_closed_form
-from shimony.seesaw import random_measurement_set
+from shimony.quantum import bell_quantum_value, max_quantum_closed_form
+from shimony.seesaw import alice_best_response, random_measurement_set
 from shimony.steering import (
     LHS_BOUND_REFERENCES,
     steering_lhs_bound,
@@ -161,6 +161,27 @@ def test_thresholds_n2_and_n4():
     pair = werner_thresholds(m4, catalog_directions(4).bob_directions, max_quantum_closed_form(4))
     assert pair.v_lhv == pytest.approx(3 * math.sqrt(6) / 10, abs=1e-12)
     assert pair.v_lhs == pytest.approx(math.sqrt(23) / (5 * math.sqrt(2)), abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(2, 14, 2)), st.integers(0, 2**32 - 1))
+def test_threshold_of_random_bob_sets_divides_by_their_quantum_value(n, seed):
+    # With Bob's directions fixed the best singlet value is
+    # Q(b) = sum_i ||(m b)_i||, reached by Alice's best response; a set below
+    # the maximum steers only above C_LHS / Q(b). werner_thresholds' own v_lhs
+    # keeps the caller's denominator.
+    m = build_as_matrix(n)
+    bob = random_measurement_set(n, seed)
+    quantum_max = max_quantum_closed_form(n)
+    pair = werner_thresholds(m, bob, quantum_max)
+    c_lhs, q_b = pair.lhs.value, pair.lhs.quantum_value
+    assert pair.below_quantum_max
+    assert pair.v_lhs_fixed_bob * q_b == pytest.approx(c_lhs, rel=1e-12, abs=0)
+    assert pair.v_lhs == c_lhs / quantum_max
+    assert c_lhs <= q_b * (1 + 1e-12)
+    assert q_b <= quantum_max * (1 + 1e-12)
+    best = bell_quantum_value(m, alice_best_response(m, bob), bob)
+    assert q_b == pytest.approx(best, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n", range(2, 14, 2))
