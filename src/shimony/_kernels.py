@@ -3,7 +3,7 @@
 Assignments are indexed so that bit n-1-i holds Alice setting i (clear bit is
 -1); numeric index order is then lexicographic order with -1 < +1.
 
-Two exact reductions keep the scan cheap without changing any result:
+Three exact reductions keep the scan cheap without changing any result:
 
 * Sign symmetry. A and -A score the same, and of each pair the smaller index
   has setting 0 = -1, so the smallest maximizer lies below 2**(n-1). Only that
@@ -12,6 +12,14 @@ Two exact reductions keep the scan cheap without changing any result:
   settings split into a high prefix and the last `lo` settings. A table over
   each half holds its integer column sums, so an assignment costs one add and
   a reduction over n entries instead of an n x n product.
+* Fewer bytes and fewer columns per assignment. Every table entry and score
+  is bounded by n * max_i sum_j |m_ij|, so the scan runs in int16 when that
+  bound fits (every AS_n under the 24-setting cap), else in int32, else in
+  int64. When the scan spans more than one block, a column with no entry in
+  the low rows scores |high[j, h]| whatever the low half is (and one with no
+  entry in the high rows |low[j, l]|): such columns are summed once into one
+  nonnegative row per table, and only the mixed columns and that row enter
+  each block.
 
 The sums stay exact integers. The steering bound does not enumerate: it
 scores the O(n**2) vertices of a zonotope (`steering._lhs_witness`).
@@ -26,6 +34,7 @@ import numpy as np
 # Assignments scored per block; bounds the working set of one block.
 _BLOCK_ASSIGNMENTS = 1 << 14
 
+_INT16_MAX = np.iinfo(np.int16).max
 _INT32_MAX = np.iinfo(np.int32).max
 
 
@@ -58,16 +67,42 @@ def _halves(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return high, low, lo
 
 
+def _fold_one_half_columns(
+    m: np.ndarray, high: np.ndarray, low: np.ndarray, lo: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tables with the columns that have entries in one half only folded into one row.
+
+    Such a column scores |high[j, h]| (or |low[j, l]|) whatever the other half
+    is. The folded high row sums those |high[j, h]| and the folded low row
+    those |low[j, l]|; both are nonnegative, so |high + low| on them is their
+    sum and no score changes.
+    """
+    in_high = m[: m.shape[0] - lo].any(axis=0)
+    in_low = m[m.shape[0] - lo :].any(axis=0)
+    mixed = in_high & in_low
+    if mixed.all():
+        return high, low
+    folded_high = np.abs(high[~in_low]).sum(axis=0)
+    folded_low = np.abs(low[~in_high]).sum(axis=0)
+    return np.vstack([high[mixed], folded_high]), np.vstack([low[mixed], folded_low])
+
+
 def lhv_max(m: np.ndarray) -> tuple[int, int]:
     """Max over assignments of sum_j |column sum|, with the smallest index."""
     m = np.asarray(m, dtype=np.int64)
     n = m.shape[0]
-    # Every table entry and score is bounded by n * max_i sum_j |m_ij|.
-    dtype = np.int32 if n * int(np.abs(m).sum(axis=1).max()) <= _INT32_MAX else np.int64
+    # Every table entry and score is bounded by n * max_i sum_j |m_ij|; the
+    # scan runs in the narrowest integer type that holds it.
+    bound = n * int(np.abs(m).sum(axis=1).max())
+    dtype = np.int16 if bound <= _INT16_MAX else np.int32 if bound <= _INT32_MAX else np.int64
     high, low, lo = _halves(m)
-    high, low = high.astype(dtype), low.astype(dtype)
     step = max(1, _BLOCK_ASSIGNMENTS >> lo)
-    buf = np.empty((n, min(step, high.shape[1]), low.shape[1]), dtype=dtype)
+    # Folding costs a few calls on small arrays, which a single block does
+    # not repay.
+    if high.shape[1] > step:
+        high, low = _fold_one_half_columns(m, high, low, lo)
+    high, low = high.astype(dtype), low.astype(dtype)
+    buf = np.empty((high.shape[0], min(step, high.shape[1]), low.shape[1]), dtype=dtype)
     best = -1
     best_index = 0
     for start in range(0, high.shape[1], step):

@@ -25,10 +25,10 @@ from .seesaw import alice_best_response, seesaw
 
 SUPPORTED_SETTINGS = (2, 4, 6, 8, 10)
 
-# Verification tolerance per order; the 10-setting angles are tabulated to
-# only 4-5 decimal places, so its tolerance is wider.
-VERIFY_TOLERANCE = {2: 1e-6, 4: 1e-6, 6: 1e-6, 8: 1e-6, 10: 1e-3}
+# Verification tolerance, with per-order exceptions; the 10-setting angles
+# are tabulated to only 4-5 decimal places, so its tolerance is wider.
 DEFAULT_VERIFY_TOLERANCE = 1e-6
+VERIFY_TOLERANCE = {10: 1e-3}
 
 # |a . b| above this flags two catalog directions as (anti)parallel.
 COLLINEARITY_TOL = 1e-9

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import _kernels
 
-# The LHV enumeration scans 2**n deterministic assignments; refuse anything
-# beyond this many settings rather than hang.
+# The LHV enumeration scans 2**(n-1) deterministic assignments (one of each
+# A, -A pair); refuse anything beyond this many settings rather than hang.
 MAX_ENUMERATION_SETTINGS = 24
 
 # The steering bound scores O(n**2) zonotope vertices at O(n) each; refuse

@@ -6,6 +6,7 @@ kept here unchanged as the reference for n <= 20.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,6 +124,64 @@ def test_lhv_matches_reference_on_random_matrices(n):
         assert_lhv_matches(random_int_matrix(rng, n))
 
 
+def test_lhv_multi_block_as_and_dense():
+    # At the default block size n = 16 and 17 span several blocks; AS_16 has
+    # seven columns with no entry in its low rows.
+    assert_lhv_matches(build_as_matrix(16))
+    assert_lhv_matches(np.random.default_rng(17).integers(-9, 10, size=(17, 17)))
+
+
+@pytest.mark.parametrize("plant", ["zero column", "zero low rows", "zero high rows", "all zero"])
+def test_lhv_multi_block_with_one_half_columns(plant):
+    rng = np.random.default_rng(len(plant))
+    n = 16
+    lo = n // 2
+    m = rng.integers(-4, 5, size=(n, n))
+    cols = rng.choice(n, size=5, replace=False)
+    if plant == "zero column":
+        m[:, cols[0]] = 0
+    elif plant == "zero low rows":
+        m[n - lo :, cols] = 0
+    elif plant == "zero high rows":
+        m[: n - lo, cols] = 0
+    else:
+        m[:] = 0
+    assert_lhv_matches(m)
+
+
+def python_int_lhv(m):
+    """Max over assignments of sum_j |column sum| in Python integers, smallest index."""
+    rows = [[int(x) for x in row] for row in np.asarray(m)]
+    scores = [
+        sum(abs(sum(a * row[j] for a, row in zip(signs, rows))) for j in range(len(rows[0])))
+        for signs in itertools.product((-1, 1), repeat=len(rows))
+    ]
+    best = max(scores)
+    return best, scores.index(best)
+
+
+# Each input's score bound n * max_i sum_j |m_ij| sits at an integer type's
+# limit or one past it, and its maximum reaches that bound.
+INT32_MAX = int(np.iinfo(np.int32).max)
+DTYPE_BOUNDARY_INPUTS = {
+    "int16 max, n=1": [[32767]],
+    "int16 max, n=7": [[4681 * (-1) ** i] + [0] * 6 for i in range(7)],
+    "int16 max + 1, n=1": [[32768]],
+    "int16 max + 1, n=2": [[16384, 0], [-16384, 0]],
+    "int32 max, n=1": [[INT32_MAX]],
+    "int32 max + 1, n=1": [[INT32_MAX + 1]],
+    "int32 max + 1, n=2": [[1 << 29, 1 << 29], [1 << 29, 1 << 29]],
+}
+
+
+@pytest.mark.parametrize("rows", DTYPE_BOUNDARY_INPUTS.values(), ids=DTYPE_BOUNDARY_INPUTS)
+def test_lhv_at_the_integer_type_boundaries(rows):
+    m = np.array(rows, dtype=np.int64)
+    expected = python_int_lhv(rows)
+    assert expected[0] == len(rows) * int(np.abs(m).sum(axis=1).max())
+    assert _kernels.lhv_max(m) == expected
+
+
 def test_lhv_wide_entries_take_the_int64_path():
     # Column sums reach 2**34 here, past int32.
     m = np.full((4, 4), 1 << 30, dtype=np.int64)
@@ -167,12 +226,21 @@ def test_results_do_not_depend_on_block_size(monkeypatch, block):
         assert_lhv_matches(m)
         for kind in ("random", "repeated", "antipodal"):
             assert_steering_matches(m, bob_set(rng, n, kind))
+    for n in (2, 6, 10, 12):
+        assert_lhv_matches(build_as_matrix(n))
 
 
 @st.composite
 def kernel_inputs(draw):
     n = draw(st.integers(1, 8))
     m = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)))
+    m = m.reshape(n, n)
+    # Zeroed columns and half-blocks give columns with entries in one half
+    # of the rows only, or in neither.
+    lo = n // 2
+    for _ in range(draw(st.integers(0, 2))):
+        rows = draw(st.sampled_from([slice(None), slice(0, n - lo), slice(n - lo, n)]))
+        m[rows, draw(st.integers(0, n - 1))] = 0
     # Small integer directions give exact ties, repeats, antipodes and
     # coplanar sets often.
     raw = draw(
@@ -181,14 +249,16 @@ def kernel_inputs(draw):
         )
     )
     bob = np.array(raw, dtype=np.float64)
-    return m.reshape(n, n), bob / np.linalg.norm(bob, axis=1, keepdims=True)
+    return m, bob / np.linalg.norm(bob, axis=1, keepdims=True)
 
 
 @settings(max_examples=150, deadline=None)
-@given(kernel_inputs())
-def test_kernels_match_reference_property(inputs):
+@given(kernel_inputs(), st.sampled_from([_kernels._BLOCK_ASSIGNMENTS, 1, 4]))
+def test_kernels_match_reference_property(inputs, block):
     m, bob = inputs
-    assert_lhv_matches(m)
+    # Small blocks make the scan span several blocks, which folds columns.
+    with mock.patch.object(_kernels, "_BLOCK_ASSIGNMENTS", block):
+        assert_lhv_matches(m)
     assert_steering_matches(m, bob)
 
 
