@@ -21,8 +21,9 @@ Three exact reductions keep the scan cheap without changing any result:
   nonnegative row per table, and only the mixed columns and that row enter
   each block.
 
-The sums stay exact integers. The steering bound does not enumerate: it
-scores the O(n**2) vertices of a zonotope (`steering._lhs_witness`).
+The sums stay exact integers. The steering bound does not enumerate: a sweep
+of one great circle per generator finds the O(n**2) vertices of a zonotope
+(`steering._sweep_candidates`), and only those are scored.
 """
 
 from __future__ import annotations

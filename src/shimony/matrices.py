@@ -10,7 +10,10 @@ rule:
 
 so the matrix is symmetric with an all-ones first row and column and an
 anti-diagonal band of growing negative weights. The local hidden variable
-(LHV) bound is the exact integer (N/2)(N/2+1).
+(LHV) bound is the exact integer (N/2)(N/2+1). It is flat: when Bob answers
+each setting with the sign of its column sum, every one of Alice's 2**N
+assignments scores exactly (N/2)(N/2+1) (checked for N <= 12 in the tests;
+no proof is claimed).
 
 Everything in this module is integer arithmetic; bounds are exact.
 """
@@ -27,9 +30,9 @@ from . import _kernels
 # A, -A pair); refuse anything beyond this many settings rather than hang.
 MAX_ENUMERATION_SETTINGS = 24
 
-# The steering bound scores O(n**2) zonotope vertices at O(n) each; refuse
+# The steering bound sweeps n great circles with one sort each; refuse
 # anything beyond this many settings. One call on AS_300 with a random Bob
-# set takes about 1 s on a 2-vCPU x86 host.
+# set takes about 20-35 ms on a 2-vCPU x86 host.
 MAX_STEERING_SETTINGS = 300
 
 

@@ -9,18 +9,19 @@ because Bob's optimal single qubit state for a fixed Alice assignment is the
 unit vector along the resultant sum_j c_j b_j. With w = m @ bob the resultant
 is sum_i A_i w_i, a vertex of the zonotope sum_i [-w_i, w_i] at the maximum,
 and that zonotope has only O(n**2) vertices (Edelsbrunner, O'Rourke & Seidel,
-SIAM J. Comput. 15, 1986; Ferrez, Fukuda & Liebling, EJOR 166, 2005), so the
-bound is exact in polynomial time, with no 2**n scan. The Werner visibility
-thresholds follow by dividing the classical bounds by the quantum maximum:
-above V_LHV the state violates the Bell inequality, above V_LHS its steering
-counterpart. A Bob set below the maximum steers only above C_LHS / Q(b), with
-Q(b) = sum_i ||(m @ bob)_i|| (Cavalcanti, Jones, Wiseman & Reid, PRA 80, 2009).
+SIAM J. Comput. 15, 1986; Ferrez, Fukuda & Liebling, EJOR 166, 2005). A sweep
+of the great circle normal to each w_i finds them with one sort per circle,
+so the bound is exact in O(n**2 log n) time, with no 2**n scan. The Werner
+visibility thresholds follow by dividing the classical bounds by the quantum
+maximum: above V_LHV the state violates the Bell inequality, above V_LHS its
+steering counterpart. A Bob set below the maximum steers only above
+C_LHS / Q(b), with Q(b) = sum_i ||(m @ bob)_i|| (Cavalcanti, Jones, Wiseman &
+Reid, PRA 80, 2009).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import cos, pi, sqrt
 
 import numpy as np
@@ -43,25 +44,13 @@ STEERING_TIE_TOL = 1e-12
 # by Q(b); the catalog sets fall short by at most 2.8e-10.
 QUANTUM_VALUE_GUARD = 1e-9
 
-# Sine of the angle below which two generators count as parallel, or a
-# generator as lying in the plane of a pair of generators.
+# Sine of the angle below which two generators count as parallel and are merged.
 _DEGENERATE_SINE = 1e-10
 
-# Entries per (i, j, k) block array of the vertex search, float64 (2 MB).
-_BLOCK_ENTRIES = 1 << 18
+_EPS = np.finfo(np.float64).eps
 
-# (d @ _SKEW).reshape(3, 3) is the matrix of x -> d x x.
-_SKEW = np.array(
-    [
-        [[0, 0, 0], [0, 0, -1], [0, 1, 0]],
-        [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
-        [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
-    ],
-    dtype=np.float64,
-).reshape(3, 9)
-
-# The signs of sigma and of s_i over a pair's four candidates.
-_SIGNS = np.array([1.0, -1.0])
+# The signs of gen_i at the two ends of an edge, broadcast over (end, i, coordinate).
+_PLUS_MINUS = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 # Reference values for the catalog bounds, kept for reporting. The 10-setting
 # figure is a tabulated decimal that does not match the value computed from
@@ -156,16 +145,6 @@ def _merge_parallel(d: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return np.unique(leader, return_inverse=True)[1], orientation
 
 
-@lru_cache(maxsize=16)
-def _masks(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (g, g) masks: i == j, i != j, and j < i."""
-    eye = np.eye(g, dtype=bool)
-    masks = (eye, ~eye, np.tri(g, k=-1, dtype=bool))
-    for mask in masks:
-        mask.setflags(write=False)
-    return masks
-
-
 def _floor(top: float, margin: float) -> float:
     """(sqrt(top) - margin)**2 for a squared norm top, never above top.
 
@@ -176,82 +155,70 @@ def _floor(top: float, margin: float) -> float:
     return min(top, floor * abs(floor))
 
 
-def _vertex_candidates(
-    gen: np.ndarray, d: np.ndarray, window: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The zonotope's vertices within window of the largest norm.
+def _sweep_candidates(gen: np.ndarray, d: np.ndarray, window: float) -> np.ndarray:
+    """Sign patterns over gen of every zonotope vertex within window of the largest norm.
 
-    Returns their sign patterns over gen, their resultants and their squared
-    norms. gen holds pairwise non-parallel generators and d their unit rows.
-    Every vertex of the zonotope sum_k [-gen_k, gen_k] lies on a face with
-    normal u = d_i x d_j for an ordered pair i != j. The generators off the
-    face's plane take sign(d_k . u). The in-plane ones span a zonogon with
-    two edges parallel to gen_i: along the in-plane direction v = u x d_i
-    (or -v) every other in-plane generator takes sign(d_k . v), and gen_i
-    takes either sign. So
-    each pair gives four vertices (the four (s_i, s_j) in general position),
-    and the pairs of a plane holding m >= 3 generators give all 2m vertices
-    of its face. The pair (j, i) gives the opposite face -u. Every in-plane j
-    gives the same four vertices, so only the pair with the smallest such j
-    is kept. Pairs are taken in blocks of first indices so that each
-    (i, j, k) array stays within _BLOCK_ENTRIES entries.
+    gen holds pairwise non-parallel generators and d their unit rows. Every
+    vertex of the zonotope sum_k [-gen_k, gen_k] ends an edge parallel to some
+    gen_i, and the directions v whose maximal face is such an edge lie on the
+    great circle d_i . v = 0. Along half of that circle each other generator
+    k changes sign once, where v is normal to d_k, so sorting those crossings
+    and summing -2 s_k gen_k over them gives the resultant r of the other
+    generators on every arc; the arc's two vertices are r +- gen_i. The
+    other half circle gives the mirrors -A. Coincident crossings (coplanar
+    generators) give arcs of zero length, whose patterns are still
+    assignments. Some patterns may lie below the window; none within it is
+    missed.
     """
     g = len(gen)
-    if g == 1:
-        return np.ones((1, 1)), gen.copy(), np.einsum("ij,ij->i", gen, gen)
-    eye, other, lower = _masks(g)
-    skew = (d @ _SKEW).reshape(g, 3, 3)
-    rows = max(1, _BLOCK_ENTRIES // (g * g))
-    found = []
-    best = 0.0
-    for a in range(0, g, rows):
-        block = slice(a, a + rows)
-        normals = (skew[block] @ d.T).transpose(0, 2, 1)  # [i, j] = u = d_i x d_j
-        triple = normals @ d.T  # [i, j, k] = d_k . u
-        sizes = np.einsum("ijr,ijr->ij", normals, normals)
-        in_plane = triple * triple <= _DEGENERATE_SINE**2 * sizes[..., None]
-        in_plane |= eye
-        in_plane |= eye[block, None]
-        # [i, j, k] = d_k . v = (d_i x d_j) . (d_i x d_k), which is |u|**2 > 0
-        # at k = j however close d_i and d_j are
-        across = normals @ normals.transpose(0, 2, 1)
-        off = np.sign(triple) * ~in_plane
-        edge = np.sign(across) * (in_plane & other[block, None])
-        faces = np.empty((2,) + off.shape)  # [sigma, i, j] = off + sigma edge
-        np.add(off, edge, out=faces[0])
-        np.subtract(off, edge, out=faces[1])
-        # [sigma, s_i, i, j] = faces @ gen + s_i gen_i
-        sums = (faces @ gen)[:, None] + _SIGNS[:, None, None, None] * gen[block, None]
-        # A pair counts if i != j and no in-plane k other than i precedes j.
-        repeated = np.any(in_plane & other[block, None] & lower, axis=2)
-        lengths = np.einsum("abijr,abijr->abij", sums, sums) * (other[block] & ~repeated)
-        best = max(best, lengths.max())
-        pick = np.nonzero(lengths >= _floor(best, window))
-        sigma, s_i, i, j = pick
-        patterns = faces[sigma, i, j]
-        patterns[np.arange(len(i)), a + i] = _SIGNS[s_i]
-        found.append((patterns, sums[pick], lengths[pick]))
-    if len(found) == 1:
-        return found[0]
-    patterns, sums, lengths = (np.concatenate(parts) for parts in zip(*found))
-    keep = lengths >= _floor(best, window)
-    return patterns[keep], sums[keep], lengths[keep]
+    # Any basis (e1_i, e2_i) of the plane normal to d_i parametrizes circle
+    # i, so any one orders its crossings. This orthonormal one is that of
+    # Duff et al. (JCGT 6, 2017), with e2_i times sign(z), and needs no cross
+    # product: e1_i = (1, 0, 0) - x u_i and e2_i = (0, 1, 0) - y u_i, where
+    # u_i = (x, y, z) / (1 + |z|) with its last entry set to sign(z).
+    x, y, z = d.T
+    u = d / (1.0 + np.abs(z))[:, None]
+    u[:, 2] = np.copysign(1.0, z)
+    proj = u @ d.T
+    # d_k . (cos t e1_i + sin t e2_i) falls through 0 at t = phi, so it is
+    # positive before its crossing at theta = phi mod pi when theta == phi.
+    phi = np.arctan2(x - x[:, None] * proj, y[:, None] * proj - y)
+    theta = np.mod(phi, pi)
+    steps = np.where(theta == phi, -2.0, 2.0)  # -2 s_k: the step as k is crossed
+    steps.flat[:: g + 1] = 0.0  # gen_i is the edge itself
+    order = theta.argsort(axis=1)
+    rows = np.arange(g)[:, None]
+    # r_0 + states[i, t] is the resultant r of the generators other than i
+    # after the first t + 1 crossings; states[i, -1] = -2 r_0, since every
+    # such generator has then flipped, so the last arc is the first's mirror.
+    states = np.add.accumulate((steps[:, :, None] * gen)[rows, order], axis=1)
+    ends = states + ((gen * _PLUS_MINUS)[:, :, None] - 0.5 * states[:, -1:])
+    lengths = np.einsum("...r,...r->...", ends, ends)
+    end, i, t = (lengths >= _floor(lengths.max(), window)).nonzero()
+    # Only the ends within the window get their patterns: generator k is
+    # flipped from s_k once its crossing's rank on circle i is at most t.
+    rank = np.empty_like(order)
+    rank[rows, order] = rows.T
+    patterns = steps[i] * ((rank[i] <= t[:, None]) - 0.5)
+    patterns[np.arange(len(i)), i] = _PLUS_MINUS.ravel()[end]
+    return patterns
 
 
 def _lhs_witness(w: np.ndarray) -> np.ndarray:
     """Alice's smallest assignment within STEERING_TIE_TOL of max_A ||A @ w||.
 
     The maximum is a vertex of the zonotope sum_i [-w_i, w_i], so only its
-    O(n**2) vertices are scored (`_vertex_candidates`), after three
-    reductions:
+    O(n**2) vertices are scored, as the great-circle sweep finds them
+    (`_sweep_candidates`), after two reductions:
 
     * rows whose flip moves any norm by at most the tolerance (zero rows
       among them) are left out, and then take the sign of w_i . r, where r
       is the candidate's resultant (-1 on 0);
     * parallel and antiparallel rows are merged, each oriented along its
-      group's first row;
-    * when one direction remains (all rows collinear) it is the one vertex.
+      group's first row.
 
+    Every candidate is then scored again as a @ w, so ties are decided on
+    resultants summed in one way whatever the sweep's order of summation.
     Of the candidates within the tolerance of the largest norm, and their
     mirrors -A, each flips its +1 rows to -1 in index order while the norm
     stays within the tolerance. The smallest result in lexicographic order
@@ -261,39 +228,38 @@ def _lhs_witness(w: np.ndarray) -> np.ndarray:
     norms = np.sqrt(squares)
     live = norms > STEERING_TIE_TOL / 2
     everything = live.all()
-    direct = False  # whether the candidates' own sums are final
     if everything or live.any():
         gen = w if everything else w[live]
         d = gen / norms[live, None]
         merged = _merge_parallel(d)
-        direct = everything and merged is None
-        if direct:
-            a, r, lengths = _vertex_candidates(gen, d, STEERING_TIE_TOL)
+        if merged is not None:
+            group, orientation = merged
+            gen = np.zeros((group.max() + 1, 3))
+            np.add.at(gen, group, orientation[:, None] * w[live])
+            d = gen / np.linalg.norm(gen, axis=1, keepdims=True)
+        # Signing the left-out rows moves each candidate's norm by at most
+        # the sum of their lengths, so two candidates' order can change by
+        # twice that. In norm, the sweep's sums round by at most about
+        # 4 n eps sum_i ||w_i|| and a @ w below by n eps sum_i ||w_i||; twice
+        # both is added, so rounding loses no candidate within the window.
+        window = STEERING_TIE_TOL + 2 * norms[~live].sum() + 10 * len(w) * _EPS * norms.sum()
+        patterns = _sweep_candidates(gen, d, window)
+        if merged is not None:
+            patterns = patterns[:, group] * orientation
+        if everything:
+            a = patterns
         else:
-            if merged is not None:
-                group, orientation = merged
-                gen = np.zeros((group.max() + 1, 3))
-                np.add.at(gen, group, orientation[:, None] * w[live])
-                d = gen / np.linalg.norm(gen, axis=1, keepdims=True)
-            # Signing the left-out rows moves each candidate's norm by at
-            # most the sum of their lengths, so two candidates' order can
-            # change by twice that.
-            window = STEERING_TIE_TOL + 2 * norms[~live].sum()
-            patterns = _vertex_candidates(gen, d, window)[0]
-            if merged is not None:
-                patterns = patterns[:, group] * orientation
             a = -np.ones((len(patterns), len(w)))
             a[:, live] = patterns
     else:
         a = -np.ones((1, len(w)))
-    if not direct:
+    if not everything:
         a[:, ~live] = np.where(a @ w @ w[~live].T > 0, 1.0, -1.0)
-        r = a @ w
-        lengths = np.einsum("ij,ij->i", r, r)
+    r = a @ w
+    lengths = np.einsum("ij,ij->i", r, r)
     floor = _floor(lengths.max(), STEERING_TIE_TOL)
-    if not direct:
-        tied = lengths >= floor
-        a, r, lengths = a[tied], r[tied], lengths[tied]
+    tied = lengths >= floor
+    a, r, lengths = a[tied], r[tied], lengths[tied]
     # Flipping row k of a, or of its mirror -a, leaves ||r - 2 a_k w_k||**2.
     flips = lengths[:, None] + 4 * squares - 4 * a * (r @ w.T) >= floor
     starts = np.concatenate((a, -a))
@@ -361,8 +327,8 @@ def steering_lhs_bound_oracle(m, bob, grid_size: int = ORACLE_GRID_SIZE) -> floa
         C_LHS = max_A max_{|v|=1} sum_i A_i (w_i . v) = max_{|v|=1} sum_i |w_i . v|,
 
     the support function of the zonotope sum_i [-w_i, w_i]. No assignment,
-    vertex or resultant is formed, so this shares nothing with the vertex
-    search of `steering_lhs_bound`; its cost is O(grid_size * n).
+    vertex or resultant is formed, so this shares nothing with the sweep of
+    `steering_lhs_bound`; its cost is O(grid_size * n).
 
     The payoff is scored on a Fibonacci grid of N = grid_size Bloch states
     whose covering radius is below rho = sqrt(4 pi / N): the largest

@@ -1,8 +1,8 @@
-"""The LHV kernel and the steering vertex search against brute-force references.
+"""The LHV kernel and the steering bound's great-circle sweep against brute-force references.
 
 Two references: an itertools.product brute force, and `steering_max`, the
-2**n meet-in-the-middle steering kernel that the vertex search replaced,
-kept here unchanged as the reference for n <= 20.
+2**n meet-in-the-middle steering kernel that the zonotope vertex search
+replaced, kept here unchanged as the reference for n <= 20.
 """
 
 import itertools
@@ -64,7 +64,7 @@ def steering_max(
 
 
 def vertex_max(m, bob) -> tuple[float, int]:
-    """The vertex search's witness on w = m @ bob: its norm and enumeration index."""
+    """The sweep's witness on w = m @ bob: its norm and enumeration index."""
     m = np.asarray(m)
     alice = steering._lhs_witness(m.astype(np.float64) @ np.asarray(bob, dtype=np.float64))
     assert alice.dtype == np.int64 and np.all(np.abs(alice) == 1)
@@ -219,7 +219,6 @@ def test_steering_returns_smallest_index_within_tie_tol(monkeypatch, tie_tol):
 @pytest.mark.parametrize("block", [1, 4, 64])
 def test_results_do_not_depend_on_block_size(monkeypatch, block):
     monkeypatch.setattr(_kernels, "_BLOCK_ASSIGNMENTS", block)
-    monkeypatch.setattr(steering, "_BLOCK_ENTRIES", block)
     rng = np.random.default_rng(block)
     for n in (1, 2, 5, 8, 11):
         m = random_int_matrix(rng, n)
@@ -287,7 +286,7 @@ def test_backend_name_consistent_with_dispatch():
 
 @st.composite
 def degenerate_inputs(draw):
-    """Steering inputs with n up to 20 and every degeneracy the vertex search merges or skips.
+    """Steering inputs with n up to 20 and every degeneracy the sweep merges, skips or meets.
 
     Rows of m may be zero, repeated, negated or doubled (parallel and
     antiparallel rows of w); rows e_j - e_k over Bob directions 1e-14 or
@@ -329,8 +328,10 @@ def degenerate_inputs(draw):
 
 def test_nearly_antiparallel_rows_keep_both_signs():
     # The rows of w = m @ bob are about 2b and -4b, 3e-8 rad from antiparallel:
-    # not merged, so the second row's in-plane sign comes from |u|**2 with
-    # u = d_0 x d_1 of norm 3e-8, which 1 - (d_0 . d_1)**2 loses to rounding.
+    # not merged, so each is the other's only crossing on its great circle.
+    # That crossing's angle comes from dot products of size 3e-8 and may be
+    # off by rounding, but one crossing splits a circle into two arcs whatever
+    # its angle, and their four ends keep both signs of both rows.
     m = np.array([[1, 1], [-3, -1]])
     bob = np.array([[-0.13493955, -0.79757853, 0.5879284], [-0.13493958, -0.79757853, 0.5879284]])
     bob /= np.linalg.norm(bob, axis=1, keepdims=True)

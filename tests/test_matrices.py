@@ -47,6 +47,17 @@ AS_8 = [
 ]
 
 
+@pytest.mark.parametrize("n", range(2, 14, 2))
+def test_every_assignment_reaches_the_lhv_bound(n):
+    # When Bob answers each setting with the sign of its column sum, every
+    # Alice assignment of AS_n scores (N/2)(N/2+1): the classical bound is
+    # reached by all 2**N assignments, not only by the witness.
+    m = build_as_matrix(n)
+    bound = (n // 2) * (n // 2 + 1)
+    for alice in itertools.product((-1, 1), repeat=n):
+        assert np.abs(np.array(alice) @ m).sum() == bound
+
+
 @pytest.mark.parametrize("n,expected", [(2, AS_2), (4, AS_4), (6, AS_6), (8, AS_8)])
 def test_explicit_matrices(n, expected):
     assert np.array_equal(build_as_matrix(n), np.array(expected))

@@ -205,8 +205,8 @@ def test_dimension_mismatch():
 
 
 def test_resource_cap():
-    # The vertex search is polynomial, so the steering cap is 300 settings
-    # (about 1 s a call), not the 24 of the LHV enumeration.
+    # The great-circle sweep is polynomial, so the steering cap is 300
+    # settings (tens of milliseconds a call), not the 24 of the LHV enumeration.
     assert MAX_STEERING_SETTINGS == 300
     n = MAX_STEERING_SETTINGS + 2
     bob = random_measurement_set(n, seed=0)
@@ -276,13 +276,33 @@ def test_linear_steering_inequality_closed_form(k):
         assert steering_lhs_bound_oracle(np.eye(k), bob) == pytest.approx(result.value, rel=1e-12)
 
 
+def degenerate_bob_sets(rng, n):
+    """Coplanar, three-direction and small-integer Bob sets of n unit rows.
+
+    Each puts many generators of m @ bob in common planes (or on common
+    lines), so that several crossings of one great circle coincide and the
+    sweep meets arcs of zero length.
+    """
+    coplanar = rng.standard_normal((n, 3))
+    coplanar[:, 2] = 0.0
+    repeated = random_unit_rows(rng, 3)[rng.integers(3, size=n)]
+    integer = rng.integers(-1, 2, size=(n, 3)).astype(np.float64)
+    integer[~integer.any(axis=1)] = [0.0, 0.0, 1.0]
+    for bob in (coplanar, repeated, integer):
+        yield bob / np.linalg.norm(bob, axis=1, keepdims=True)
+
+
 @pytest.mark.parametrize("n", [26, 40, 64])
 def test_bound_beyond_the_enumeration_cap_matches_the_oracle(n):
     m = build_as_matrix(n)
-    bob = random_unit_rows(np.random.default_rng(n), n)
-    result = steering_lhs_bound(m, bob)
-    assert result.alice_witness[0] == -1
-    assert steering_lhs_bound_oracle(m, bob) == pytest.approx(result.value, rel=1e-12)
+    rng = np.random.default_rng(n)
+    bob_sets = [random_unit_rows(rng, n), *degenerate_bob_sets(rng, n)]
+    for bob in bob_sets:
+        result = steering_lhs_bound(m, bob)
+        assert result.alice_witness[0] == -1
+        assert np.array_equal(result.column_sums, result.alice_witness @ m)
+        assert np.linalg.norm(result.column_sums @ bob) == pytest.approx(result.value, rel=1e-14)
+        assert steering_lhs_bound_oracle(m, bob) == pytest.approx(result.value, rel=1e-12)
 
 
 def test_oracle_grid_validation():
