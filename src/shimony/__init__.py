@@ -24,6 +24,7 @@ from .matrices import (
     ResourceLimitError,
     build_as_matrix,
     classical_value,
+    lhv_bound,
     lhv_bound_bruteforce,
     lhv_bound_closed_form,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "classical_value",
     "correlation",
     "correlation_density_matrix",
+    "lhv_bound",
     "lhv_bound_bruteforce",
     "lhv_bound_closed_form",
     "max_quantum_closed_form",

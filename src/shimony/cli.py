@@ -130,7 +130,7 @@ def cmd_lhs(args) -> Outcome:
 
 def cmd_thresholds(args) -> Outcome:
     n = matrices.require_even_settings(args.n)
-    matrices.require_enumerable(n)  # C_LHV is a 2**n scan: its cap is the lower one
+    matrices.require_steering_size(n)
     bob, source = _resolve_bob(args, n)
     m = matrices.build_as_matrix(n)
     metadata = _metadata(n=n, directions_source=source, quantum_max_source=args.quantum_max)

@@ -12,8 +12,12 @@ so the matrix is symmetric with an all-ones first row and column and an
 anti-diagonal band of growing negative weights. The local hidden variable
 (LHV) bound is the exact integer (N/2)(N/2+1). It is flat: when Bob answers
 each setting with the sign of its column sum, every one of Alice's 2**N
-assignments scores exactly (N/2)(N/2+1) (checked for N <= 12 in the tests;
-no proof is claimed).
+assignments scores exactly (N/2)(N/2+1) (checked in the tests by enumeration
+for N <= 12 and by a dynamic program over the walk of partial sums of
+Alice's outcomes for every even N <= 100 and N = 200, 300, 1000; no proof is
+claimed). So `lhv_bound` takes AS_N's bound from the closed form at any
+order, and scans 2**(n-1) assignments only for other matrices;
+`lhv_bound_bruteforce` keeps the scan for any matrix as the independent check.
 
 Everything in this module is integer arithmetic; bounds are exact.
 """
@@ -157,7 +161,25 @@ def lhv_bound_bruteforce(m) -> LhvBoundResult:
     n = m.shape[0]
     require_enumerable(n)
     value, index = _kernels.lhv_max(m)
-    alice = assignment_from_index(index, n)
-    column_sums = alice @ m
-    bob = np.where(column_sums > 0, 1, -1).astype(np.int64)
+    return _with_bob_response(m, value, assignment_from_index(index, n))
+
+
+def lhv_bound(m) -> LhvBoundResult:
+    """Exact LHV maximum: the closed form for AS_n, the scan for any other matrix.
+
+    A matrix equal to AS_n (n even, in any integer-valued dtype) gets
+    (N/2)(N/2+1) with the all -1 Alice witness, which is the scan's own
+    witness at every n up to its cap, so no order cap applies to it. Every
+    other matrix goes to lhv_bound_bruteforce and its cap.
+    """
+    m = as_coefficient_matrix(m)
+    n = m.shape[0]
+    if n % 2 == 0 and np.array_equal(m, build_as_matrix(n)):
+        return _with_bob_response(m, lhv_bound_closed_form(n), np.full(n, -1, dtype=np.int64))
+    return lhv_bound_bruteforce(m)
+
+
+def _with_bob_response(m: np.ndarray, value: int, alice: np.ndarray) -> LhvBoundResult:
+    """Pair Alice's witness with Bob's best response: the sign of each column sum, -1 on zero."""
+    bob = np.where(alice @ m > 0, 1, -1).astype(np.int64)
     return LhvBoundResult(value=int(value), alice_witness=alice, bob_witness=bob)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .matrices import (
     as_coefficient_matrix,
-    lhv_bound_bruteforce,
+    lhv_bound,
     require_even_settings,
     require_steering_size,
 )
@@ -376,10 +376,11 @@ def steering_lhs_bound_oracle(m, bob, grid_size: int = ORACLE_GRID_SIZE) -> floa
 class ThresholdPair:
     """Werner visibility thresholds of one order and Bob set, with their bounds.
 
-    v_lhv = c_lhv / quantum_max and v_lhs = lhs.value / quantum_max. When Q(b)
-    (lhs.quantum_value) falls short of quantum_max (below_quantum_max), the
-    Bob set steers only above v_lhs_fixed_bob = lhs.value / Q(b); otherwise
-    v_lhs_fixed_bob is v_lhs.
+    c_lhv is matrices.lhv_bound's value: the closed form for AS_n, the scan
+    for any other matrix. v_lhv = c_lhv / quantum_max and v_lhs = lhs.value /
+    quantum_max. When Q(b) (lhs.quantum_value) falls short of quantum_max
+    (below_quantum_max), the Bob set steers only above v_lhs_fixed_bob =
+    lhs.value / Q(b); otherwise v_lhs_fixed_bob is v_lhs.
     """
 
     v_lhv: float
@@ -394,12 +395,15 @@ class ThresholdPair:
 def werner_thresholds(m, bob, quantum_max: float) -> ThresholdPair:
     """Visibility thresholds from the exact bounds and a quantum maximum.
 
-    Both divide by quantum_max, the caller's choice; for a Bob set whose Q(b)
-    is below it by more than QUANTUM_VALUE_GUARD, v_lhs_fixed_bob divides by Q(b).
+    C_LHV comes from matrices.lhv_bound: AS_n takes its closed form at any
+    order, and only another matrix meets the scan's 24-setting cap; the
+    steering bound caps n at MAX_STEERING_SETTINGS. Both thresholds divide by
+    quantum_max, the caller's choice; for a Bob set whose Q(b) is below it by
+    more than QUANTUM_VALUE_GUARD, v_lhs_fixed_bob divides by Q(b).
     """
     if not quantum_max > 0:
         raise ValueError(f"quantum maximum must be positive, got {quantum_max}")
-    lhv = lhv_bound_bruteforce(m)
+    lhv = lhv_bound(m)
     lhs = steering_lhs_bound(m, bob)
     v_lhs = lhs.value / quantum_max
     below = lhs.quantum_value < quantum_max * (1 - QUANTUM_VALUE_GUARD)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ import pytest
 
 from shimony import cli
 from shimony.catalog import catalog_directions, entry_to_dict
+from shimony.output import round_sig
 from shimony.seesaw import random_measurement_set
+from shimony.steering import visibility_lhv_closed_form
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -91,8 +94,8 @@ def test_out_of_memory_exits_4(capsys, monkeypatch, command, exc, message):
         (["bounds", "30000", "--bruteforce"], "2**30000 assignments exceeds the cap of 24"),
         (["lhs", "30000"], "steering bound over 30000 settings exceeds the cap of 300"),
         (["lhs", "302", "--oracle"], "steering bound over 302 settings exceeds the cap of 300"),
-        (["thresholds", "26"], "2**26 assignments exceeds the cap of 24"),
-        (["thresholds", "30000", "--quantum-max", "seesaw"], "exceeds the cap of 24"),
+        (["thresholds", "302"], "steering bound over 302 settings exceeds the cap of 300"),
+        (["thresholds", "30000", "--quantum-max", "seesaw"], "exceeds the cap of 300"),
     ],
 )
 def test_caps_refuse_before_the_matrix_is_built(tmp_path, capsys, monkeypatch, argv, message):
@@ -126,6 +129,43 @@ def test_lhs_beyond_the_enumeration_cap(tmp_path, capsys):
     row = dict(zip(doc["tables"][0]["columns"], doc["tables"][0]["rows"][0]))
     assert row["oracle_delta"] <= 1e-12 * row["c_lhs"]
     assert len(doc["witness"]) == n and doc["witness"][0] == -1
+
+
+def _threshold_cells(out: str, fmt: str) -> dict:
+    """The one table row of a thresholds or lhs output, cell by column name."""
+    if fmt == "json":
+        table = json.loads(out)["tables"][0]
+        return dict(zip(table["columns"], table["rows"][0]))
+    lines = out.splitlines()
+    if fmt == "csv":
+        return dict(zip(lines[0].split(","), lines[1].split(",")))
+    # pretty: the dashes under each header mark the extent of its column
+    spans = [(m.start(), m.end()) for m in re.finditer(r"-+", lines[1])]
+    return {lines[0][a:b].strip(): lines[2][a:b].strip() for a, b in spans}
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+@pytest.mark.parametrize("n", [26, 40])
+def test_thresholds_beyond_the_enumeration_cap(tmp_path, capsys, n, fmt):
+    # C_LHV of AS_n is the closed form at any order, so thresholds runs up to
+    # the steering cap; its c_lhs is the lhs command's, cell for cell.
+    bob = np.random.default_rng(n).standard_normal((n, 3))
+    bob /= np.linalg.norm(bob, axis=1, keepdims=True)
+    path = tmp_path / f"bob{n}.json"
+    path.write_text(json.dumps({"n": n, "bob": bob.tolist()}))
+    code, out, _ = run_cli(capsys, "thresholds", str(n), "--directions", str(path), "--format", fmt)
+    assert code == 0
+    row = _threshold_cells(out, fmt)
+    code, lhs_out, _ = run_cli(capsys, "lhs", str(n), "--directions", str(path), "--format", fmt)
+    assert code == 0
+    assert row["c_lhs"] == _threshold_cells(lhs_out, fmt)["c_lhs"]
+    v_lhv = visibility_lhv_closed_form(n)
+    if fmt == "pretty":
+        assert row["c_lhv"] == str((n // 2) * (n // 2 + 1))
+        assert row["v_lhv"] == f"{v_lhv:.4f}"
+        return
+    assert int(row["c_lhv"]) == (n // 2) * (n // 2 + 1)
+    assert float(row["v_lhv"]) == pytest.approx(round_sig(v_lhv), rel=1e-15, abs=0)
 
 
 def test_main_reuses_one_parser(capsys, monkeypatch):

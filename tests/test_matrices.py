@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shimony import _kernels
 from shimony.matrices import (
     MAX_ENUMERATION_SETTINGS,
     ResourceLimitError,
     assignment_from_index,
     build_as_matrix,
     classical_value,
+    lhv_bound,
     lhv_bound_bruteforce,
     lhv_bound_closed_form,
     require_even_settings,
@@ -56,6 +58,119 @@ def test_every_assignment_reaches_the_lhv_bound(n):
     bound = (n // 2) * (n // 2 + 1)
     for alice in itertools.product((-1, 1), repeat=n):
         assert np.abs(np.array(alice) @ m).sum() == bound
+
+
+def as_column_sums_by_walk(alice):
+    """Column sums of alice @ AS_N from the walk: column N+1-k sums to S_k - min(k, N-k) A_{k+1}."""
+    n = len(alice)
+    walk = np.cumsum(alice)
+    step = np.append(alice[1:], 0)  # A_{k+1}; the k = N term has weight 0
+    k = np.arange(1, n + 1)
+    return (walk - np.minimum(k, n - k) * step)[::-1]
+
+
+def walk_dp(n):
+    """Max and min over Alice of AS_n's best-response score, and the smallest maximizer.
+
+    The score sum_j |column sum j| is a sum of terms on consecutive steps of
+    the +-1 walk S_k = A_1 + ... + A_k (as_column_sums_by_walk). A backward DP
+    over (k, S_k) gives its exact max and min in O(n**2), independent of the
+    2**n scan; a forward pass that tries -1 first at each step recovers the
+    lexicographically smallest maximizer under -1 < +1.
+    """
+    s = np.arange(-n, n + 1)  # S_k at index S_k + n
+    hi = lo = np.abs(s)  # the k = N term
+    highs = [hi]  # best score to go from step k, for k = N, N-1, ..., 0
+    for k in range(n - 1, -1, -1):
+        c = min(k, n - k)  # k = 0 adds no column: its term |S_0| is 0
+        down, up = np.abs(s + c), np.abs(s - c)  # A_{k+1} = -1, +1
+        # Shifting by one misreads only |S_k| = N, which the walk reaches at k = N alone.
+        hi = np.maximum(down + np.r_[hi[:1], hi[:-1]], up + np.r_[hi[1:], hi[-1:]])
+        lo = np.minimum(down + np.r_[lo[:1], lo[:-1]], up + np.r_[lo[1:], lo[-1:]])
+        highs.append(hi)
+    alice, walk = [], 0
+    for k in range(n):
+        to_go, after = highs[n - k], highs[n - k - 1]
+        c = min(k, n - k)
+        a = -1 if abs(walk + c) + after[walk - 1 + n] == to_go[walk + n] else 1
+        alice.append(a)
+        walk += a
+    return int(hi[n]), int(lo[n]), np.array(alice)
+
+
+@pytest.mark.parametrize("n", [*range(2, 102, 2), 200, 300, 1000])
+def test_walk_dp_finds_the_lhv_bound_flat(n):
+    # Past the scan's cap the walk DP is the reference: every Alice
+    # assignment scores (N/2)(N/2+1), and the all -1 one is the smallest.
+    best, worst, alice = walk_dp(n)
+    assert best == worst == (n // 2) * (n // 2 + 1)
+    assert np.all(alice == -1)
+
+
+@pytest.mark.parametrize("n", range(2, 22, 2))
+def test_walk_dp_agrees_with_the_scan(n):
+    m = build_as_matrix(n)
+    for alice in np.random.default_rng(n).choice((-1, 1), size=(8, n)):
+        assert np.array_equal(as_column_sums_by_walk(alice), alice @ m)
+    best, _, alice = walk_dp(n)
+    index = int("".join("1" if a > 0 else "0" for a in alice), 2)
+    assert (best, index) == _kernels.lhv_max(m)
+
+
+@pytest.mark.parametrize("n", range(2, 22, 2))
+def test_lhv_bound_of_as_n_is_the_scan_result(n):
+    m = build_as_matrix(n)
+    closed, scanned = lhv_bound(m), lhv_bound_bruteforce(m)
+    assert closed.value == scanned.value
+    assert np.array_equal(closed.alice_witness, scanned.alice_witness)
+    assert np.array_equal(closed.bob_witness, scanned.bob_witness)
+
+
+def perturbed_as_6():
+    m = np.array(build_as_matrix(6))
+    m[5, 5] = 3
+    return m
+
+
+NOT_AS_MATRICES = {
+    "identity 4": np.eye(4),
+    "identity 3": np.eye(3, dtype=np.int64),
+    "AS_6 with one entry changed": perturbed_as_6(),
+    "odd order": build_as_matrix(8)[:7, :7],
+    "random integers": np.random.default_rng(16).integers(-2, 3, size=(16, 16)),
+}
+
+
+@pytest.mark.parametrize("m", NOT_AS_MATRICES.values(), ids=NOT_AS_MATRICES)
+def test_lhv_bound_scans_every_other_matrix(m):
+    got, scanned = lhv_bound(m), lhv_bound_bruteforce(m)
+    assert got.value == scanned.value
+    assert np.array_equal(got.alice_witness, scanned.alice_witness)
+    assert np.array_equal(got.bob_witness, scanned.bob_witness)
+
+
+def test_a_perturbed_as_matrix_leaves_the_closed_form():
+    assert lhv_bound(perturbed_as_6()).value != lhv_bound_closed_form(6)
+
+
+@pytest.mark.parametrize(
+    "convert",
+    [np.asarray, lambda m: m.astype(np.float64), np.ndarray.tolist],
+    ids=["int64", "float64", "nested list"],
+)
+@pytest.mark.parametrize("n", [26, 300])
+def test_lhv_bound_of_as_n_past_the_cap_takes_the_closed_form(n, convert):
+    m = build_as_matrix(n)
+    result = lhv_bound(convert(m))
+    assert result.value == lhv_bound_closed_form(n)
+    assert np.all(result.alice_witness == -1)
+    assert classical_value(m, result.alice_witness, result.bob_witness) == result.value
+
+
+@pytest.mark.parametrize("m", [np.eye(26), np.array(build_as_matrix(26)) * 2])
+def test_lhv_bound_of_another_matrix_past_the_cap_is_refused(m):
+    with pytest.raises(ResourceLimitError, match="exceeds the cap of 24 settings"):
+        lhv_bound(m)
 
 
 @pytest.mark.parametrize("n,expected", [(2, AS_2), (4, AS_4), (6, AS_6), (8, AS_8)])

@@ -190,6 +190,16 @@ def test_visibility_lhv_closed_form_is_the_quotient(n):
     assert visibility_lhv_closed_form(n) == pytest.approx(quotient, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [26, MAX_STEERING_SETTINGS])
+def test_thresholds_beyond_the_enumeration_cap(n):
+    # C_LHV of AS_n comes from the closed form, so the thresholds reach the
+    # steering cap; v_lhv is the closed-form quotient to the last bits.
+    bob = random_unit_rows(np.random.default_rng(n), n)
+    pair = werner_thresholds(build_as_matrix(n), bob, max_quantum_closed_form(n))
+    assert pair.c_lhv == lhv_bound_closed_form(n)
+    assert pair.v_lhv == pytest.approx(visibility_lhv_closed_form(n), rel=1e-15, abs=0)
+
+
 def test_threshold_validation():
     m = build_as_matrix(2)
     bob = catalog_directions(2).bob_directions
