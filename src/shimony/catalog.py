@@ -213,7 +213,10 @@ def _direction_rows(data, key: str, n: int) -> np.ndarray:
         for k, component in enumerate(row):
             if isinstance(component, bool) or not isinstance(component, (int, float)):
                 raise ValueError(f"{key}[{i}][{k}] must be a number")
-            out[i, k] = float(component)
+            try:
+                out[i, k] = float(component)
+            except OverflowError:
+                raise ValueError(f"{key}[{i}][{k}] is too large for a float") from None
     return normalize_unit_rows(out, key + "[{i}]")
 
 
@@ -244,7 +247,7 @@ def load_directions_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"invalid JSON: {exc}") from exc
     return directions_from_dict(data)
 

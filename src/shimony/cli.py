@@ -38,47 +38,73 @@ def _signed_text(values) -> str:
     return " ".join(f"{int(v):+d}" for v in values)
 
 
-def _resolve_bob(args, n: int) -> tuple[np.ndarray, str]:
-    """Bob's directions for order n from --directions JSON or the built-in catalog."""
-    if args.directions is not None:
-        try:
-            loaded = catalog.load_directions_file(args.directions)
-        except ValueError as exc:
-            raise ValueError(f"{args.directions}: {exc}") from exc
-        if loaded["n"] != n:
-            raise ValueError(
-                f"{args.directions}: file is for n={loaded['n']}, command asked for n={n}"
-            )
-        return loaded["bob"], "file"
-    return catalog.catalog_directions(n).bob_directions, "catalog"
+def _steering_request(args) -> tuple[int, np.ndarray, str]:
+    """Order n and Bob's directions, from --directions JSON or the built-in catalog.
+
+    n must be even and within the steering cap, checked before a file is read.
+    """
+    n = matrices.require_even_settings(args.n)
+    matrices.require_steering_size(n)
+    if args.directions is None:
+        return n, catalog.catalog_directions(n).bob_directions, "catalog"
+    try:
+        loaded = catalog.load_directions_file(args.directions)
+    except ValueError as exc:
+        raise ValueError(f"{args.directions}: {exc}") from exc
+    if loaded["n"] != n:
+        raise ValueError(f"{args.directions}: file is for n={loaded['n']}, command asked for n={n}")
+    return n, loaded["bob"], "file"
 
 
 _NO_FIGURES = steering.PaperFigures(None, None, None, None, None)
 
 
-def _steering_report(n: int, source: str, lhs, quantum_max: float):
-    """Paper figures (none for a directions file), Bob-state and witness cells, JSON extras."""
+def _evaluate(n: int, m, bob, source: str, quantum_max: float):
+    """The per-order evaluation: thresholds, paper figures (none for a file) and named cells."""
+    pair = steering.werner_thresholds(m, bob, quantum_max)
     figures = _NO_FIGURES
     if source == "catalog":
-        figures = steering.paper_figures(n, lhs.value, quantum_max)
-    state = lhs.bob_state_direction.tolist()
-    cells = dict(zip(["bob_state_x", "bob_state_y", "bob_state_z"], state))
-    cells["witness"] = _signed_text(lhs.alice_witness)
-    return figures, cells, {"witness": lhs.alice_witness.tolist(), "bob_state": state}
-
-
-def _order_cells(n: int, pair, figures) -> dict:
-    """One order's thresholds and tabulated figures, in the columns of thresholds."""
-    return {
+        figures = steering.paper_figures(n, pair.lhs.value, quantum_max)
+    state = pair.lhs.bob_state_direction.tolist()
+    cells = {
         "n": n,
         "c_lhv": pair.c_lhv,
         "c_lhs": pair.lhs.value,
+        "c_lhs_reference": figures.c_lhs,
         "quantum_max": pair.quantum_max,
         "v_lhv": pair.v_lhv,
         "v_lhs": pair.v_lhs_fixed_bob,
         "v_lhs_reference": figures.v_lhs,
         "v_lhs_from_reference_bound": figures.v_lhs_from_c_lhs,
+        **dict(zip(["bob_state_x", "bob_state_y", "bob_state_z"], state)),
+        "witness": _signed_text(pair.lhs.alice_witness),
     }
+    return pair, figures, cells
+
+
+def _one_row(name: str, cells: dict, columns=None) -> Table:
+    """A one-row table of cells in the given columns, by default all of them."""
+    columns = list(cells) if columns is None else columns
+    return Table(name, columns, [[cells[column] for column in columns]])
+
+
+# The columns each command or table projects from the evaluation's cells.
+_STATE = ["bob_state_x", "bob_state_y", "bob_state_z", "witness"]
+_TABLES = {
+    "lhs": ["n", "c_lhs", "c_lhs_reference", *_STATE],
+    "thresholds": ["n", "c_lhv", "c_lhs", "quantum_max", "v_lhv", "v_lhs", "v_lhs_reference",
+                   "v_lhs_from_reference_bound", *_STATE],
+    "table1": ["n", "c_lhv", "c_lhs", "c_lhs_reference", "note"],
+    "table2": ["n", "v_lhv", "v_lhs", "v_lhs_reference", "v_lhs_from_reference_bound", "note"],
+    "figure2": ["n", "c_lhv", "c_lhs"],
+    "figure3": ["n", "v_lhv", "v_lhs"],
+}
+_PAPER_TABLES = ("table1", "table2", "figure2", "figure3")
+# The note cell each paper table gives an order whose tabulated figures disagree.
+_TABLE_NOTES = {
+    "table1": "inconsistent tabulated reference",
+    "table2": "reference figures mutually inconsistent",
+}
 
 
 def cmd_matrix(args) -> Outcome:
@@ -93,45 +119,37 @@ def cmd_matrix(args) -> Outcome:
 
 def cmd_bounds(args) -> Outcome:
     n = matrices.require_even_settings(args.n)
-    columns = ["n", "c_lhv"]
-    row: list = [n, matrices.lhv_bound_closed_form(n)]
+    cells = {"n": n, "c_lhv": matrices.lhv_bound_closed_form(n)}
     if args.bruteforce:
         matrices.require_enumerable(n)
         result = matrices.lhv_bound_bruteforce(matrices.build_as_matrix(n))
-        columns += ["c_lhv_bruteforce", "alice_witness", "bob_witness"]
-        row += [
-            result.value,
-            _signed_text(result.alice_witness),
-            _signed_text(result.bob_witness),
-        ]
-    doc = OutputDocument("bounds", [Table("bounds", columns, [row])], metadata=_metadata(n=n))
-    return doc, EXIT_OK
+        cells.update(
+            c_lhv_bruteforce=result.value,
+            alice_witness=_signed_text(result.alice_witness),
+            bob_witness=_signed_text(result.bob_witness),
+        )
+    return OutputDocument("bounds", [_one_row("bounds", cells)], metadata=_metadata(n=n)), EXIT_OK
 
 
 def cmd_lhs(args) -> Outcome:
-    n = matrices.require_even_settings(args.n)
-    matrices.require_steering_size(n)
-    bob, source = _resolve_bob(args, n)
+    n, bob, source = _steering_request(args)
     m = matrices.build_as_matrix(n)
-    result = steering.steering_lhs_bound(m, bob)
-    figures, steering_cells, extra = _steering_report(
-        n, source, result, quantum.max_quantum_closed_form(n)
-    )
-    cells = {"n": n, "c_lhs": result.value, "c_lhs_reference": figures.c_lhs} | steering_cells
+    pair, figures, cells = _evaluate(n, m, bob, source, quantum.max_quantum_closed_form(n))
     metadata = _metadata(n=n, directions_source=source)
     if figures.c_lhs_label is not None:
         metadata["reference"] = figures.c_lhs_label
+    columns = _TABLES["lhs"]
     if args.oracle:
         oracle_value = steering.steering_lhs_bound_oracle(m, bob)
-        cells.update(c_lhs_oracle=oracle_value, oracle_delta=abs(oracle_value - result.value))
-    table = Table("lhs", list(cells), [list(cells.values())])
+        cells.update(c_lhs_oracle=oracle_value, oracle_delta=abs(oracle_value - pair.lhs.value))
+        columns = columns + ["c_lhs_oracle", "oracle_delta"]
+    extra = {"witness": pair.lhs.alice_witness, "bob_state": pair.lhs.bob_state_direction}
+    table = _one_row("lhs", cells, columns)
     return OutputDocument("lhs", [table], list(figures.notes), metadata, extra), EXIT_OK
 
 
 def cmd_thresholds(args) -> Outcome:
-    n = matrices.require_even_settings(args.n)
-    matrices.require_steering_size(n)
-    bob, source = _resolve_bob(args, n)
+    n, bob, source = _steering_request(args)
     m = matrices.build_as_matrix(n)
     metadata = _metadata(n=n, directions_source=source, quantum_max_source=args.quantum_max)
     if args.quantum_max == "seesaw":
@@ -139,13 +157,12 @@ def cmd_thresholds(args) -> Outcome:
         metadata.update(restarts=args.restarts, seed=args.seed)
     else:
         quantum_max = quantum.max_quantum_closed_form(n)
-    pair = steering.werner_thresholds(m, bob, quantum_max)
-    figures, steering_cells, extra = _steering_report(n, source, pair.lhs, quantum_max)
-    cells = _order_cells(n, pair, figures)
+    pair, figures, cells = _evaluate(n, m, bob, source, quantum_max)
     if figures.v_lhs_label is not None:
         metadata.update(v_lhs_reference=figures.v_lhs_label, c_lhs_reference=figures.c_lhs_label)
     notes = list(figures.notes)
-    extra = {key: cells[key] for key in ("n", "c_lhs", "c_lhv", "v_lhs", "v_lhv")} | extra
+    extra = {key: cells[key] for key in ("n", "c_lhs", "c_lhv", "v_lhs", "v_lhv")}
+    extra.update(witness=pair.lhs.alice_witness, bob_state=pair.lhs.bob_state_direction)
     if pair.below_quantum_max:
         metadata["v_lhs_denominator"] = "quantum_value_directions"
         extra["quantum_value_directions"] = pair.lhs.quantum_value
@@ -153,8 +170,7 @@ def cmd_thresholds(args) -> Outcome:
             f"the directions reach the quantum value {pair.lhs.quantum_value:.6f}, below the "
             f"quantum maximum {quantum_max:.6f}; v_lhs is c_lhs divided by the former"
         )
-    cells |= steering_cells
-    table = Table("thresholds", list(cells), [list(cells.values())])
+    table = _one_row("thresholds", cells, _TABLES["thresholds"])
     return OutputDocument("thresholds", [table], notes, metadata, extra), EXIT_OK
 
 
@@ -170,14 +186,12 @@ def cmd_seesaw(args) -> Outcome:
         record_trajectory=args.trajectory,
     )
     closed = quantum.max_quantum_closed_form(n)
-    tables = [
-        Table(
-            "seesaw",
-            ["n", "value", "closed_form", "deviation", "iterations", "converged", "restart_index"],
-            [[n, result.value, closed, abs(result.value - closed), result.iterations,
-              result.converged, result.restart_index]],
-        )
-    ]
+    cells = dict(
+        n=n, value=result.value, closed_form=closed, deviation=abs(result.value - closed),
+        iterations=result.iterations, converged=result.converged,
+        restart_index=result.restart_index,
+    )
+    tables = [_one_row("seesaw", cells)]
     if args.trajectory and result.trajectory is not None:
         tables.append(
             Table(
@@ -200,34 +214,18 @@ def cmd_seesaw(args) -> Outcome:
     return doc, EXIT_OK
 
 
-# The columns of each table, and the note cell each gives an order whose
-# tabulated figures disagree.
-_TABLES = {
-    "table1": ["n", "c_lhv", "c_lhs", "c_lhs_reference", "note"],
-    "table2": ["n", "v_lhv", "v_lhs", "v_lhs_reference", "v_lhs_from_reference_bound", "note"],
-    "figure2": ["n", "c_lhv", "c_lhs"],
-    "figure3": ["n", "v_lhv", "v_lhs"],
-}
-_TABLE_NOTES = {
-    "table1": "inconsistent tabulated reference",
-    "table2": "reference figures mutually inconsistent",
-}
-
-
 def cmd_tables(args) -> Outcome:
-    rows = {name: [] for name in _TABLES}
+    rows = {name: [] for name in _PAPER_TABLES}
     notes = []
     for n in catalog.SUPPORTED_SETTINGS:
         quantum_max = quantum.max_quantum_closed_form(n)
         bob = catalog.catalog_directions(n).bob_directions
-        pair = steering.werner_thresholds(matrices.build_as_matrix(n), bob, quantum_max)
-        figures = steering.paper_figures(n, pair.lhs.value, quantum_max)
+        _, figures, cells = _evaluate(n, matrices.build_as_matrix(n), bob, "catalog", quantum_max)
         notes += figures.notes
-        cells = _order_cells(n, pair, figures) | {"c_lhs_reference": figures.c_lhs}
-        for name, columns in _TABLES.items():
+        for name in _PAPER_TABLES:
             cells["note"] = _TABLE_NOTES.get(name, "") if figures.notes else ""
-            rows[name].append([cells[column] for column in columns])
-    tables = [Table(name, columns, rows[name]) for name, columns in _TABLES.items()]
+            rows[name].append([cells[column] for column in _TABLES[name]])
+    tables = [Table(name, _TABLES[name], rows[name]) for name in _PAPER_TABLES]
     metadata = _metadata(orders=list(catalog.SUPPORTED_SETTINGS))
     doc = OutputDocument("tables", tables, notes, metadata)
     if args.outdir is not None:
@@ -238,13 +236,13 @@ def cmd_tables(args) -> Outcome:
 
 
 def cmd_verify_directions(args) -> Outcome:
-    report = catalog.verify_directions(args.n)
+    entry = catalog.catalog_directions(args.n)
+    report = catalog.verify_directions(args.n, entry)
     rows = [
         [e.label, e.alice_source, e.value, report.target, e.deviation, report.tolerance, e.passed]
         for e in report.evaluations
     ]
     notes = [f"anomaly: {a}" for a in report.anomalies]
-    entry = catalog.catalog_directions(args.n)
     notes.append(entry.notes)
     doc = OutputDocument(
         "verify-directions",

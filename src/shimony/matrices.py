@@ -170,11 +170,12 @@ def lhv_bound(m) -> LhvBoundResult:
     A matrix equal to AS_n (n even, in any integer-valued dtype) gets
     (N/2)(N/2+1) with the all -1 Alice witness, which is the scan's own
     witness at every n up to its cap, so no order cap applies to it. Every
-    other matrix goes to lhv_bound_bruteforce and its cap.
+    other matrix goes to lhv_bound_bruteforce and its cap. Row 0 of AS_n is
+    all ones, so most other matrices are told apart without building AS_n.
     """
     m = as_coefficient_matrix(m)
     n = m.shape[0]
-    if n % 2 == 0 and np.array_equal(m, build_as_matrix(n)):
+    if n % 2 == 0 and np.all(m[0] == 1) and np.array_equal(m, build_as_matrix(n)):
         return _with_bob_response(m, lhv_bound_closed_form(n), np.full(n, -1, dtype=np.int64))
     return lhv_bound_bruteforce(m)
 

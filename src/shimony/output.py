@@ -40,27 +40,21 @@ def _cell_text(value, spec: str) -> str:
     return str(value)
 
 
-def _cell_json(value):
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return round_sig(value)
-    return value
-
-
 def json_ready(value):
-    """Recursively convert arrays/scalars to JSON-safe rounded values."""
+    """Recursively convert arrays/scalars to JSON-safe values, floats rounded as in CSV."""
     if isinstance(value, np.ndarray):
         return json_ready(value.tolist())
     if isinstance(value, (list, tuple)):
         return [json_ready(v) for v in value]
     if isinstance(value, dict):
         return {k: json_ready(v) for k, v in value.items()}
-    return _cell_json(value)
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return round_sig(value)
+    return value
 
 
 @dataclass
@@ -86,7 +80,7 @@ class OutputDocument:
                 {
                     "name": t.name,
                     "columns": list(t.columns),
-                    "rows": [[_cell_json(v) for v in row] for row in t.rows],
+                    "rows": json_ready(t.rows),
                 }
                 for t in self.tables
             ],

@@ -140,7 +140,6 @@ def seesaw(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     record_trajectory: bool = False,
-    restart_index: int = 0,
 ) -> OptimizationResult:
     """Alternate exact best responses from an initial Bob set.
 
@@ -152,9 +151,7 @@ def seesaw(
     _check_iteration(tol, max_iter)
     m = as_coefficient_matrix(m)
     bob = as_measurement_set(initial_bob, m.shape[0])
-    return _best_run(
-        m.astype(np.float64), bob[None], tol, max_iter, record_trajectory, restart_index
-    )
+    return _best_run(m.astype(np.float64), bob[None], tol, max_iter, record_trajectory, 0)
 
 
 def _philox_key(seed: int, restart_index: int) -> int:

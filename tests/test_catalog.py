@@ -172,6 +172,7 @@ def test_entry_to_dict_schema():
         ({"n": 2, "bob": [[0, 0, 1], [1, 0, 0]], "alice": [[0, 0, 2], [1, 0, 0]]},
          "alice[0] must be unit length"),
         ({"n": 2, "bob": [[0, 0, 1], [1, 0, 0]], "notes": 5}, "notes must be a string"),
+        ({"n": 2, "bob": [[10**400, 0, 0], [0, 0, 1]]}, "bob[0][0] is too large"),
     ],
 )
 def test_directions_from_dict_errors(data, fragment):

@@ -255,18 +255,28 @@ def test_lhs_directions_schema_error_names_path(tmp_path, capsys):
     assert "broken.json" in err
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
-def test_lhs_directions_non_finite_exits_2(tmp_path, bad):
+_BOB_WITH = '{"n": 4, "bob": [[0, 0, 1], [1, 0, 0], [%s, 0, 0], [0, 1, 0]]}'
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        pytest.param(_BOB_WITH % "NaN", "bob[2]", id="NaN"),
+        pytest.param(_BOB_WITH % "Infinity", "bob[2]", id="Infinity"),
+        pytest.param("[" * 5000 + "]" * 5000, "invalid JSON", id="nested"),
+    ],
+)
+def test_lhs_directions_non_finite_exits_2(tmp_path, text, fragment):
     path = tmp_path / "nonfinite.json"
-    path.write_text(f'{{"n": 4, "bob": [[0, 0, 1], [1, 0, 0], [{bad}, 0, 0], [0, 1, 0]]}}')
+    path.write_text(text)
     proc = subprocess.run(
         [sys.executable, "-m", "shimony.cli", "lhs", "4", "--directions", str(path)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
-    assert "bob[2]" in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: ")
+    assert fragment in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -464,12 +474,34 @@ JSON_PINS = [
     (("thresholds", "10"), "a102cf62f9ba644dd238d8cdcb46463048a0f18a0f746ff6661203afecadb968"),
     (("lhs", "10"), "b0680bd558741939e3fab2d008fdd933f0a0a8667c9e40ca30903f46392aee73"),
     (("tables",), "11f6096a4b317422f7cf1e24221dd9f0ce377896f0875552879233a82fa9ab8c"),
+    (("lhs", "4", "--oracle"), "1055469ac65379640f1293cccb29e8847d9921be00af24630cba356dc6722d27"),
+    (("bounds", "8", "--bruteforce"),
+     "5a0f0038f7f949961e85d91db8e7f1f032251fc4a51adeb3ca8d5a5d953bee5d"),
+    (("thresholds", "8", "--quantum-max", "seesaw", "--restarts", "16", "--seed", "3"),
+     "2355110803a1389a52e00c3cd899cc9adeccb5a7b114fb20dbd286ec6c009cfe"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", JSON_PINS, ids=[" ".join(a) for a, _ in JSON_PINS])
 def test_json_bytes_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# The same for a Bob set read from a file (no paper figures), written from
+# random_measurement_set(40, 5).
+FILE_JSON_PINS = [
+    ("lhs", "63110f89d7586858858eb70d8523a8baa6ab1e36ea8eb41558e898c2c9929d3b"),
+    ("thresholds", "cb9dd50bd101f9e7763a9f8257d97fcac36936ebe6e7bbfd7d35ff025d00b7a3"),
+]
+
+
+@pytest.mark.parametrize("command, digest", FILE_JSON_PINS)
+def test_file_directions_json_bytes_pinned(tmp_path, capsys, command, digest):
+    path = tmp_path / "bob40.json"
+    path.write_text(json.dumps({"n": 40, "bob": random_measurement_set(40, 5).tolist()}))
+    code, out, _ = run_cli(capsys, command, "40", "--directions", str(path), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

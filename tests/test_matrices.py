@@ -168,7 +168,12 @@ def test_lhv_bound_of_as_n_past_the_cap_takes_the_closed_form(n, convert):
 
 
 @pytest.mark.parametrize("m", [np.eye(26), np.array(build_as_matrix(26)) * 2])
-def test_lhv_bound_of_another_matrix_past_the_cap_is_refused(m):
+def test_lhv_bound_of_another_matrix_past_the_cap_is_refused(m, monkeypatch):
+    # Row 0 tells these from AS_26, so the refusal never builds AS_26.
+    def unbuilt(n):
+        raise AssertionError(f"AS_{n} built")
+
+    monkeypatch.setattr("shimony.matrices.build_as_matrix", unbuilt)
     with pytest.raises(ResourceLimitError, match="exceeds the cap of 24 settings"):
         lhv_bound(m)
 
