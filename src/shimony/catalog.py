@@ -20,7 +20,7 @@ from math import acos, asin, cos, pi, sin, sqrt
 import numpy as np
 
 from .matrices import build_as_matrix, lhv_bound_closed_form, require_even_settings
-from .quantum import bell_quantum_value, max_quantum_closed_form, normalize_unit_rows
+from .quantum import as_measurement_set, bell_quantum_value, max_quantum_closed_form
 from .seesaw import alice_best_response, seesaw
 
 SUPPORTED_SETTINGS = (2, 4, 6, 8, 10)
@@ -206,18 +206,19 @@ def _direction_rows(data, key: str, n: int) -> np.ndarray:
     rows = data[key]
     if not isinstance(rows, list) or len(rows) != n:
         raise ValueError(f"{key} must be a list of {n} directions")
-    out = np.zeros((n, 3))
+    parsed = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 3:
             raise ValueError(f"{key}[{i}] must be a 3-component direction")
+        parsed.append([])
         for k, component in enumerate(row):
             if isinstance(component, bool) or not isinstance(component, (int, float)):
                 raise ValueError(f"{key}[{i}][{k}] must be a number")
             try:
-                out[i, k] = float(component)
+                parsed[i].append(float(component))
             except OverflowError:
                 raise ValueError(f"{key}[{i}][{k}] is too large for a float") from None
-    return normalize_unit_rows(out, key + "[{i}]")
+    return as_measurement_set(parsed, n, key + "[{i}]")
 
 
 def directions_from_dict(data) -> dict:

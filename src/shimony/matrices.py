@@ -89,6 +89,8 @@ def as_coefficient_matrix(m) -> np.ndarray:
         raise ValueError(
             f"coefficient matrix must be square and non-empty, got shape {arr.shape}"
         )
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"coefficient matrix entries must be real numbers, got dtype {arr.dtype}")
     if not np.issubdtype(arr.dtype, np.integer):
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficient matrix entries must be finite integers")

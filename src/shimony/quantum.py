@@ -53,14 +53,30 @@ class WernerState:
 SINGLET = WernerState(1.0)
 
 
-def normalize_unit_rows(arr: np.ndarray, name: str) -> np.ndarray:
-    """Renormalize unit vectors along the last axis, rejecting any other norm.
+def as_bloch_vector(direction) -> np.ndarray:
+    """Validate and renormalize a single Bloch direction."""
+    return as_measurement_set([direction], 1, "direction")[0]
 
-    A norm more than UNIT_ACCEPT_TOL from 1 raises ValueError, and so does a
-    NaN or infinite component: the test is phrased so that a NaN deviation
-    fails it. `name` labels the offending row, with `{i}` for its index.
+
+def as_measurement_set(directions, n: int | None = None, name: str = "direction {i}") -> np.ndarray:
+    """Validate an (n, 3) stack of real unit directions, renormalizing rows.
+
+    Every direction set the package accepts passes through here. A norm more
+    than UNIT_ACCEPT_TOL from 1 raises ValueError, and so does a NaN or
+    infinite component, or one so large that the norm overflows: the test is
+    phrased so that a NaN deviation fails it. `name` labels the offending
+    row, with `{i}` for its index.
     """
-    norms = np.linalg.norm(arr, axis=-1, keepdims=True)
+    arr = np.asarray(directions)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"measurement set must hold real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"measurement set must have shape (n, 3), got {arr.shape}")
+    if n is not None and arr.shape[0] != n:
+        raise ValueError(f"measurement set has {arr.shape[0]} directions, expected {n}")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(arr, axis=-1, keepdims=True)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_ACCEPT_TOL))
     if bad.size:
         i = int(bad[0])
@@ -69,24 +85,6 @@ def normalize_unit_rows(arr: np.ndarray, name: str) -> np.ndarray:
             f"got norm {norms.flat[i]}"
         )
     return arr / norms
-
-
-def as_bloch_vector(direction) -> np.ndarray:
-    """Validate and renormalize a single Bloch direction."""
-    arr = np.asarray(direction, dtype=np.float64)
-    if arr.shape != (3,):
-        raise ValueError(f"direction must have 3 components, got shape {arr.shape}")
-    return normalize_unit_rows(arr, "direction")
-
-
-def as_measurement_set(directions, n: int | None = None) -> np.ndarray:
-    """Validate an (n, 3) stack of unit directions, renormalizing rows."""
-    arr = np.asarray(directions, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"measurement set must have shape (n, 3), got {arr.shape}")
-    if n is not None and arr.shape[0] != n:
-        raise ValueError(f"measurement set has {arr.shape[0]} directions, expected {n}")
-    return normalize_unit_rows(arr, "direction {i}")
 
 
 def bloch_from_spherical(theta: float, phi: float) -> np.ndarray:

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import as_coefficient_matrix
-from .quantum import (
-    DEGENERATE_DIRECTION,
-    ZERO_RESULTANT_TOL,
-    as_measurement_set,
-    normalize_unit_rows,
-)
+from .quantum import DEGENERATE_DIRECTION, ZERO_RESULTANT_TOL, as_measurement_set
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
@@ -226,10 +221,10 @@ def multistart_seesaw(
     best: OptimizationResult | None = None
     for first in range(0, restarts, _RESTART_GROUP):
         indices = range(first, min(first + _RESTART_GROUP, restarts))
-        # Renormalized as `seesaw` renormalizes its start set.
-        starts = normalize_unit_rows(
-            np.stack([start_set(index) for index in indices]), "direction {i}"
-        )
+        # Renormalized with the arithmetic `as_measurement_set` applies to the
+        # start set of `seesaw`, so each restart matches `seesaw` bit for bit.
+        starts = np.stack([start_set(index) for index in indices])
+        starts = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
         result = _best_run(mf, starts, tol, max_iter, record_trajectory, first)
         if best is None or result.value > best.value:
             best = result

@@ -1,0 +1,30 @@
+"""The functions the benchmark wraps or imports still resolve in `shimony`.
+
+`perfbench/tracer.py` wraps each `(module, path)` of `SPAN_TARGETS`, and
+`shimony.seesaw.seesaw`, after `import shimony.cli`; `perfbench/run.py`
+imports `shimony._kernels.backend_name`. Renaming or deleting any of them
+breaks the benchmark, so it fails here too.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import shimony.cli  # noqa: F401  (loads every submodule, as the tracer does)
+
+_TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER_PATH)
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+TARGETS = [target for targets in tracer.SPAN_TARGETS.values() for target in targets] + [
+    ("shimony.seesaw", "seesaw"),
+    ("shimony._kernels", "backend_name"),
+]
+
+
+@pytest.mark.parametrize("module_name, path", TARGETS, ids=[f"{m}.{p}" for m, p in TARGETS])
+def test_benchmark_target_resolves(module_name, path):
+    _, _, function = tracer._resolve(module_name, path)
+    assert callable(function)

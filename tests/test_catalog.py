@@ -173,6 +173,7 @@ def test_entry_to_dict_schema():
          "alice[0] must be unit length"),
         ({"n": 2, "bob": [[0, 0, 1], [1, 0, 0]], "notes": 5}, "notes must be a string"),
         ({"n": 2, "bob": [[10**400, 0, 0], [0, 0, 1]]}, "bob[0][0] is too large"),
+        ({"n": 2, "bob": [[1e308, 1e308, 0], [0, 0, 1]]}, "bob[0] must be unit length"),
     ],
 )
 def test_directions_from_dict_errors(data, fragment):

@@ -263,6 +263,7 @@ _BOB_WITH = '{"n": 4, "bob": [[0, 0, 1], [1, 0, 0], [%s, 0, 0], [0, 1, 0]]}'
     [
         pytest.param(_BOB_WITH % "NaN", "bob[2]", id="NaN"),
         pytest.param(_BOB_WITH % "Infinity", "bob[2]", id="Infinity"),
+        pytest.param(_BOB_WITH % "1e308", "bob[2]", id="1e308"),
         pytest.param("[" * 5000 + "]" * 5000, "invalid JSON", id="nested"),
     ],
 )

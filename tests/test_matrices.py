@@ -286,6 +286,19 @@ def test_coefficients_too_large_for_int64_are_rejected():
     assert lhv_bound_bruteforce(np.full((2, 2), 1 << 40)).value == 1 << 42
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        pytest.param([["1", "0"], ["0", "1"]], id="strings"),
+        pytest.param([[10**30, 0], [0, 1]], id="object"),
+        pytest.param([[1 + 1j, 0], [0, 1]], id="complex"),
+    ],
+)
+def test_non_real_coefficients_are_rejected(m):
+    with pytest.raises(ValueError, match="must be real numbers, got dtype"):
+        lhv_bound(m)
+
+
 def test_resource_cap():
     n = MAX_ENUMERATION_SETTINGS + 2
     with pytest.raises(ResourceLimitError, match="exceeds the cap of 24 settings"):

@@ -50,7 +50,7 @@ def test_bloch_vector_rejects_bad_input(bad):
         as_bloch_vector(bad)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e308])
 def test_non_finite_directions_are_rejected(bad):
     with pytest.raises(ValueError, match="unit length"):
         as_bloch_vector([bad, 0.0, 0.0])
@@ -68,6 +68,18 @@ def test_measurement_set_validation():
         as_measurement_set([Z, X], 3)
     with pytest.raises(ValueError):
         as_measurement_set([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "directions",
+    [
+        pytest.param([["1", "0", "0"], ["0", "1", "0"]], id="strings"),
+        pytest.param([[1j, 0, 0], [0, 1, 0]], id="complex"),
+    ],
+)
+def test_measurement_set_rejects_non_real_dtypes(directions):
+    with pytest.raises(ValueError, match="must hold real numbers, got dtype"):
+        as_measurement_set(directions)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.0000001, float("nan")])
