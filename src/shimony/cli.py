@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="cross-check with the independent grid+refinement oracle",
+        help="cross-check with the independent branch-and-bound oracle",
     )
 
     p = add_command("thresholds", "Werner visibility thresholds for AS_n", cmd_thresholds)

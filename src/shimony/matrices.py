@@ -12,12 +12,28 @@ so the matrix is symmetric with an all-ones first row and column and an
 anti-diagonal band of growing negative weights. The local hidden variable
 (LHV) bound is the exact integer (N/2)(N/2+1). It is flat: when Bob answers
 each setting with the sign of its column sum, every one of Alice's 2**N
-assignments scores exactly (N/2)(N/2+1) (checked in the tests by enumeration
-for N <= 12 and by a dynamic program over the walk of partial sums of
-Alice's outcomes for every even N <= 100 and N = 200, 300, 1000; no proof is
-claimed). So `lhv_bound` takes AS_N's bound from the closed form at any
-order, and scans 2**(n-1) assignments only for other matrices;
-`lhv_bound_bruteforce` keeps the scan for any matrix as the independent check.
+assignments scores exactly (N/2)(N/2+1). Proof, with N = 2M, S_0 = 0 and
+S_k = A_1 + ... + A_k: column N+1-k sums to S_k - t_k A_{k+1} with
+t_k = min(k, N-k), so Alice's score is sum_{k=1..N} |S_k - t_k A_{k+1}|.
+
+* First half, k <= M. Here |S_k| <= k = t_k, so each term is
+  k - A_{k+1} S_k, and S_{k+1}**2 = S_k**2 + 2 A_{k+1} S_k + 1 telescopes
+  the sum to (M+1)**2/2 - S_{M+1}**2/2.
+* Second half, k > M. Let j = N - k and G(j, S) be the sum of the terms
+  from k on, given S_k = S (S and j have the same parity). By induction on j,
+  G(j, S) = (j+1)|S| when |S| >= j and (j(j+2) + S**2)/2 when |S| <= j,
+  whatever the later outcomes. G(0, S) = |S|; and the step
+  G(j, S) = |S - jA| + G(j-1, S+A) holds for both A = +-1 by two cases of
+  algebra, since the parity rules out |S| = j - 1.
+* Total. With j = M - 1 and S = S_{M+1}, the halves add to M(M+1) both for
+  |S| <= M - 1 and for |S| = M + 1.
+
+The tests check the step and the total in exact integers for j, M <= 300,
+and the flat score itself by enumeration for N <= 12 and by a dynamic
+program over the walk for every even N <= 100 and N = 200, 300, 1000. So
+`lhv_bound` takes AS_N's bound from the closed form at any order, and scans
+2**(n-1) assignments only for other matrices; `lhv_bound_bruteforce` keeps
+the scan for any matrix as the independent check.
 
 Everything in this module is integer arithmetic; bounds are exact.
 """
@@ -170,10 +186,13 @@ def lhv_bound(m) -> LhvBoundResult:
     """Exact LHV maximum: the closed form for AS_n, the scan for any other matrix.
 
     A matrix equal to AS_n (n even, in any integer-valued dtype) gets
-    (N/2)(N/2+1) with the all -1 Alice witness, which is the scan's own
-    witness at every n up to its cap, so no order cap applies to it. Every
-    other matrix goes to lhv_bound_bruteforce and its cap. Row 0 of AS_n is
-    all ones, so most other matrices are told apart without building AS_n.
+    (N/2)(N/2+1) with the all -1 Alice witness. Every assignment scores that
+    against Bob's best response (proved by induction on the walk of partial
+    sums S_k in the module docstring), so the all -1 one is the smallest
+    maximizer, the scan's own witness at every n up to its cap, and no order
+    cap applies. Every other matrix goes to lhv_bound_bruteforce and its
+    cap. Row 0 of AS_n is all ones, so most other matrices are told apart
+    without building AS_n.
     """
     m = as_coefficient_matrix(m)
     n = m.shape[0]

@@ -22,7 +22,7 @@ Reid, PRA 80, 2009).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, sqrt
+from math import pi, sqrt
 
 import numpy as np
 
@@ -34,7 +34,15 @@ from .matrices import (
 )
 from .quantum import DEGENERATE_DIRECTION, ZERO_RESULTANT_TOL, as_measurement_set
 
-ORACLE_GRID_SIZE = 4096
+# The oracle's least number of starting triangles, the triangle-generator products
+# it scores at once, the relative margin over its best lower end within which a
+# triangle is dropped, and a split triangle's children among (a, b, c, ab, bc, ca).
+ORACLE_GRID_SIZE = 16
+_ORACLE_BLOCK_PRODUCTS = 2**18
+_ORACLE_PRUNE_TOL = 1e-12
+_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
+# Face k of the octahedron has corners s_kj e_j, with s_kj = -1 where bit j of k is set.
+_OCTAHEDRON = np.eye(3) * (1 - 2 * (np.arange(8)[:, None, None] >> np.arange(3)[:, None] & 1))
 
 # Absolute tolerance for "same norm" when picking the lexicographically
 # smallest steering witness among float ties.
@@ -309,35 +317,22 @@ def steering_lhs_bound(m, bob) -> SteeringBoundResult:
     )
 
 
-def _fibonacci_sphere(count: int) -> np.ndarray:
-    """Deterministic quasi-uniform grid of unit vectors."""
-    k = np.arange(count)
-    z = 1.0 - 2.0 * (k + 0.5) / count
-    radius = np.sqrt(1.0 - z * z)
-    angle = pi * (3.0 - sqrt(5.0)) * k
-    return np.stack([radius * np.cos(angle), radius * np.sin(angle), z], axis=1)
-
-
 def steering_lhs_bound_oracle(m, bob, grid_size: int = ORACLE_GRID_SIZE) -> float:
     """Independent LHS bound from the other order of the two maxima.
 
-    With w = m @ bob, swapping the maximum over assignments with the one over
-    Bloch states gives
-
-        C_LHS = max_A max_{|v|=1} sum_i A_i (w_i . v) = max_{|v|=1} sum_i |w_i . v|,
-
-    the support function of the zonotope sum_i [-w_i, w_i]. No assignment,
-    vertex or resultant is formed, so this shares nothing with the sweep of
-    `steering_lhs_bound`; its cost is O(grid_size * n).
-
-    The payoff is scored on a Fibonacci grid of N = grid_size Bloch states
-    whose covering radius is below rho = sqrt(4 pi / N): the largest
-    circumcap of its convex hull's facets measures 0.7696-0.7712 rho for
-    every N from 16 to 4096 and for N up to 262144. The grid point nearest
-    the maximizer v* therefore scores at least C_LHS cos(rho), so every grid
-    point that scores at least best * cos(rho) is kept. Each is then polished
-    in its tangent plane over 7 x 7 patches, starting at step rho/2 and
-    halving the step for 48 rounds.
+    With w = m @ bob, swapping the maxima over assignments and Bloch states
+    gives C_LHS = max_{|v|=1} sum_i |w_i . v|, the zonotope's support
+    function. A branch and bound over spherical triangles, as Hartley & Kahl
+    (IJCV 82, 2009) search rotation space, maximizes it with nothing of the
+    sweep reused. The octahedron's faces are split into at least grid_size
+    triangles, each bounded on its circumscribed cap (centre c, radius r):
+    below by ||sign(w . c) @ w||, the norm of an assignment; above by
+    |x| cos(max(0, angle(x, c) - r)) for the signed sum x of the generators
+    whose great circle misses the cap, plus |w_i| sin(min(pi/2,
+    asin|d_i . c| + r)) for each unit row d_i whose circle crosses it.
+    Triangles whose upper end is at most 1 + 1e-12 times the best lower end
+    are dropped and the rest split four ways. A cap that no circle crosses
+    has equal ends, so the search ends within 1e-12 of C_LHS, relative.
     """
     m = as_coefficient_matrix(m)
     n = m.shape[0]
@@ -345,31 +340,34 @@ def steering_lhs_bound_oracle(m, bob, grid_size: int = ORACLE_GRID_SIZE) -> floa
     require_steering_size(n)
     if grid_size < 16:
         raise ValueError(f"grid_size must be >= 16, got {grid_size}")
-    mf = m.astype(np.float64)
-
-    def payoff(states):
-        return np.abs((states @ bob.T) @ mf.T).sum(axis=-1)
-
-    rho = sqrt(4 * pi / grid_size)
-    grid = _fibonacci_sphere(grid_size)
-    scores = payoff(grid)
-    best = scores.max()
-    if best == 0:  # best >= C_LHS cos(rho) > 0 unless every w_i vanishes
-        return 0.0
-    points = grid[scores >= best * cos(rho)]
-
-    du, dv = np.mgrid[-3:4, -3:4].reshape(2, -1, 1, 1)  # 7 x 7 patch offsets
-    step = rho / 2
-    for _ in range(48):
-        axis = np.eye(3)[np.argmin(np.abs(points), axis=1)]
-        e1 = np.cross(points, axis)
-        e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-        e2 = np.cross(points, e1)
-        patch = points + step * (du * e1 + dv * e2)
-        patch /= np.linalg.norm(patch, axis=2, keepdims=True)
-        points = patch[payoff(patch).argmax(axis=0), np.arange(len(points))]
-        step /= 2
-    return float(payoff(points).max())
+    w = m.astype(np.float64) @ bob
+    w = w[w.any(axis=1)]
+    lengths = np.linalg.norm(w, axis=1)
+    block = _ORACLE_BLOCK_PRODUCTS // max(1, len(w))
+    triangles, best = _OCTAHEDRON, 0.0
+    while len(triangles):
+        a, b, c = triangles.transpose(1, 0, 2)
+        centres = np.cross(b - a, c - a)  # turned outward and normalized below
+        centres *= np.copysign(1 / np.linalg.norm(centres, axis=1), (centres * a).sum(1))[:, None]
+        radii = 2 * np.arcsin(np.linalg.norm(triangles - centres[:, None], axis=2).max(1) / 2)
+        upper = np.empty(len(triangles))
+        for s in range(0, len(triangles), block):
+            centre, radius = centres[s : s + block], radii[s : s + block]
+            dots = centre @ w.T / lengths
+            sides = np.sign(dots)
+            best = max(best, float(np.linalg.norm(sides @ w, axis=1).max()))
+            offsets = np.arcsin(np.minimum(np.abs(dots), 1.0))  # angles from c to the circles
+            crossing = offsets <= radius[:, None]
+            x = np.where(crossing, 0.0, sides) @ w
+            angle = np.arctan2(np.linalg.norm(np.cross(x, centre), axis=1), (x * centre).sum(1))
+            reach = np.where(crossing, np.sin(np.minimum(pi / 2, offsets + radius[:, None])), 0.0)
+            fixed = np.linalg.norm(x, axis=1) * np.cos(np.maximum(0.0, angle - radius))
+            upper[s : s + block] = fixed + reach @ lengths
+        kept = triangles[(upper > best * (1 + _ORACLE_PRUNE_TOL)) | (len(triangles) < grid_size)]
+        mids = kept + np.roll(kept, -1, axis=1)  # ab, bc, ca
+        mids /= np.linalg.norm(mids, axis=2, keepdims=True)
+        triangles = np.concatenate((kept, mids), axis=1)[:, _CHILDREN].reshape(-1, 3, 3)
+    return best
 
 
 @dataclass(frozen=True)

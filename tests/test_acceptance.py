@@ -106,7 +106,7 @@ def test_criterion_1_table1_lhs_reference_n10():
     (-2.9224, -2.3630) also reaches the quantum maximum and gives
     27.095441..., the tabulated decimal (V_LHS = 0.67458). Each figure is
     checked on its own direction set, and the alternate bound is confirmed by
-    the grid oracle and a plain 2**10 enumeration.
+    the branch-and-bound oracle and a plain 2**10 enumeration.
     """
     m = build_as_matrix(10)
     quantum_max = max_quantum_closed_form(10)
@@ -209,7 +209,7 @@ def test_criterion_4_oracles():
         "criterion 4 (independent oracles)",
         ok,
         "brute-force classical bound matches the closed form for n=2..12; "
-        f"max |steering fast path - grid oracle| = {worst:.3g}",
+        f"max |steering fast path - branch-and-bound oracle| = {worst:.3g}",
     )
     assert ok, line
 

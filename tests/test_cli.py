@@ -14,7 +14,7 @@ import pytest
 
 from shimony import cli
 from shimony.catalog import catalog_directions, entry_to_dict
-from shimony.output import round_sig
+from shimony.output import OutputDocument, round_sig
 from shimony.seesaw import random_measurement_set
 from shimony.steering import visibility_lhv_closed_form
 
@@ -166,6 +166,11 @@ def test_thresholds_beyond_the_enumeration_cap(tmp_path, capsys, n, fmt):
         return
     assert int(row["c_lhv"]) == (n // 2) * (n // 2 + 1)
     assert float(row["v_lhv"]) == pytest.approx(round_sig(v_lhv), rel=1e-15, abs=0)
+
+
+def test_unknown_output_format_is_refused():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        OutputDocument("matrix").render("xml")
 
 
 def test_main_reuses_one_parser(capsys, monkeypatch):
@@ -475,7 +480,7 @@ JSON_PINS = [
     (("thresholds", "10"), "a102cf62f9ba644dd238d8cdcb46463048a0f18a0f746ff6661203afecadb968"),
     (("lhs", "10"), "b0680bd558741939e3fab2d008fdd933f0a0a8667c9e40ca30903f46392aee73"),
     (("tables",), "11f6096a4b317422f7cf1e24221dd9f0ce377896f0875552879233a82fa9ab8c"),
-    (("lhs", "4", "--oracle"), "1055469ac65379640f1293cccb29e8847d9921be00af24630cba356dc6722d27"),
+    (("lhs", "4", "--oracle"), "93058bc6d5564cb72ffb40694da4d3417fc2bc70228796cc5b3a15ae72577ccd"),
     (("bounds", "8", "--bruteforce"),
      "5a0f0038f7f949961e85d91db8e7f1f032251fc4a51adeb3ca8d5a5d953bee5d"),
     (("thresholds", "8", "--quantum-max", "seesaw", "--restarts", "16", "--seed", "3"),

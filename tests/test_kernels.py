@@ -339,6 +339,19 @@ def test_nearly_antiparallel_rows_keep_both_signs():
     assert vertex_max(m, bob)[0] == pytest.approx(6.0, rel=1e-12)
 
 
+def test_parallel_chains_merge_into_one_group():
+    # Rows 0-1 and 1-2 are 0.8e-10 rad apart, under the merge threshold, but
+    # rows 0-2 are 1.6e-10 rad apart, over it: row 2's leader is row 1, whose
+    # leader is row 0, and the three form one group only through the chain.
+    angles = np.array([0.0, 0.8e-10, 1.6e-10])
+    bob = np.zeros((4, 3))
+    bob[:3, 0], bob[:3, 1] = np.cos(angles), np.sin(angles)
+    bob[3] = [0.3, -0.4, np.sqrt(0.75)]
+    group, _ = steering._merge_parallel(bob)
+    assert np.array_equal(group, [0, 0, 0, 1])
+    assert_steering_matches(np.eye(4, dtype=np.int64), bob)
+
+
 @settings(max_examples=150, deadline=None)
 @given(degenerate_inputs())
 def test_vertex_search_matches_kernel_on_degenerate_inputs(inputs):

@@ -11,6 +11,7 @@ from shimony import _kernels
 from shimony.matrices import (
     MAX_ENUMERATION_SETTINGS,
     ResourceLimitError,
+    as_coefficient_matrix,
     assignment_from_index,
     build_as_matrix,
     classical_value,
@@ -105,6 +106,29 @@ def test_walk_dp_finds_the_lhv_bound_flat(n):
     best, worst, alice = walk_dp(n)
     assert best == worst == (n // 2) * (n // 2 + 1)
     assert np.all(alice == -1)
+
+
+def twice_tail_score(j, s):
+    """2 G(j, S): twice the score of AS_N's last j + 1 columns, given S_{N-j} = S."""
+    return 2 * (j + 1) * abs(s) if abs(s) >= j else j * (j + 2) + s * s
+
+
+def test_flatness_induction_in_exact_integers():
+    # The steps of the proof in the matrices module docstring, doubled so
+    # that every quantity is an integer. The base case G(0, S) = |S|; the
+    # step G(j, S) = |S - jA| + G(j-1, S+A) for both A and every S with the
+    # parity of j (that of S_{N-j}) up to |S| <= j + 4; and the total: the
+    # first half's (M+1)**2/2 - S**2/2 plus G(M-1, S) is M(M+1) for every
+    # S = S_{M+1}.
+    for s in range(-5, 6):
+        assert twice_tail_score(0, s) == 2 * abs(s)
+    for j in range(1, 301):
+        for s in range(-j - 4, j + 5, 2):
+            for a in (-1, 1):
+                assert twice_tail_score(j, s) == 2 * abs(s - j * a) + twice_tail_score(j - 1, s + a)
+    for m in range(1, 301):
+        for s in range(-m - 1, m + 2, 2):
+            assert (m + 1) ** 2 - s * s + twice_tail_score(m - 1, s) == 2 * m * (m + 1)
 
 
 @pytest.mark.parametrize("n", range(2, 22, 2))
@@ -274,6 +298,14 @@ def test_classical_value_validation():
         classical_value([[1, 1], [1, 0.5]], [1, 1], [1, 1])
     with pytest.raises(ValueError):
         classical_value(np.ones((2, 3)), [1, 1], [1, 1, 1])
+    with pytest.raises(ValueError, match="assignment must be one-dimensional"):
+        classical_value(AS_2, [[1, 1]], [1, 1])
+
+
+@pytest.mark.parametrize("m", [[[np.nan]], [[1.0, np.inf], [0.0, 1.0]]], ids=["nan", "inf"])
+def test_non_finite_coefficients_are_rejected(m):
+    with pytest.raises(ValueError, match="coefficient matrix entries must be finite integers"):
+        as_coefficient_matrix(m)
 
 
 def test_coefficients_too_large_for_int64_are_rejected():

@@ -78,8 +78,8 @@ def test_oracle_agrees_on_random_directions(n):
 @pytest.mark.parametrize("grid_size", [16, 64, 1000, 3000])
 @pytest.mark.parametrize("n", [8, 10])
 def test_oracle_agrees_at_non_power_of_two_grids(n, grid_size):
-    # At 16 and 64 points the grid's covering radius is 0.68 and 0.34 rad, so the
-    # cutoff must follow it: a fixed small margin drops the best grid cell.
+    # grid_size is the least number of starting triangles: 16, 64, 1000 and
+    # 3000 start the search from 32, 128, 2048 and 8192 of them.
     m = build_as_matrix(n)
     bob = catalog_directions(n).bob_directions
     fast = steering_lhs_bound(m, bob).value
@@ -99,6 +99,23 @@ def test_oracle_grid_block_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_oracle_search_memory_is_bounded():
+    # Regular polygons tie many vertices, so many triangles survive each
+    # round: without its block loop the search peaks at about 67 MB here.
+    n = 200
+    angles = 2 * np.pi * np.arange(n) / n
+    bob = np.stack([np.cos(angles), np.sin(angles), np.zeros(n)], axis=1)
+    fast = steering_lhs_bound(np.eye(n), bob).value
+    tracemalloc.start()
+    try:
+        oracle = steering_lhs_bound_oracle(np.eye(n), bob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert oracle == pytest.approx(fast, rel=1e-12, abs=0)
 
 
 def test_witness_reproduces_value():
@@ -313,6 +330,22 @@ def test_bound_beyond_the_enumeration_cap_matches_the_oracle(n):
         assert np.array_equal(result.column_sums, result.alice_witness @ m)
         assert np.linalg.norm(result.column_sums @ bob) == pytest.approx(result.value, rel=1e-14)
         assert steering_lhs_bound_oracle(m, bob) == pytest.approx(result.value, rel=1e-12)
+
+
+def test_oracle_on_lattice_directions_with_rows_of_mixed_scale():
+    # Bob directions on the integer lattice put many great circles through
+    # common points, and rows of m scaled by 1 to 1e5 make the circles of
+    # small generators cross the caps near the maximizer: a cap bound that
+    # is not an upper bound over the whole cap drops the maximizer there.
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        m = rng.integers(-2, 3, size=(20, 20)) * 10 ** rng.integers(0, 6, size=(20, 1))
+        bob = rng.integers(-1, 2, size=(20, 3)).astype(np.float64)
+        bob[~bob.any(axis=1)] = [0.0, 0.0, 1.0]
+        bob /= np.linalg.norm(bob, axis=1, keepdims=True)
+        fast = steering_lhs_bound(m, bob).value
+        oracle = steering_lhs_bound_oracle(m, bob)
+        assert oracle == pytest.approx(fast, rel=1e-12, abs=0)
 
 
 def test_oracle_grid_validation():
