@@ -23,13 +23,6 @@ from .matrices import build_as_matrix, lhv_bound_closed_form, require_even_setti
 from .quantum import as_measurement_set, bell_quantum_value, max_quantum_closed_form
 from .seesaw import alice_best_response, seesaw
 
-SUPPORTED_SETTINGS = (2, 4, 6, 8, 10)
-
-# Verification tolerance, with per-order exceptions; the 10-setting angles
-# are tabulated to only 4-5 decimal places, so its tolerance is wider.
-DEFAULT_VERIFY_TOLERANCE = 1e-6
-VERIFY_TOLERANCE = {10: 1e-3}
-
 # |a . b| above this flags two catalog directions as (anti)parallel.
 COLLINEARITY_TOL = 1e-9
 
@@ -108,21 +101,86 @@ def _angles_8() -> tuple[list[float], list[float | None]]:
 # Tabulated to 4-5 decimal places; no azimuthal angles are tabulated.
 _ANGLES_10 = [-2.5496, 3.1742, -1.9715, -1.5541, -1.0945, -0.7886, -0.5108, -0.2502]
 
+_BOB_ONLY_NOTES = (
+    "Bob fully tabulated. Alice's azimuthal angles are tabulated only for the interior directions "
+    "(the first is not), so no Alice set is stored; she is reconstructed by best response."
+)
+
+# What the paper tabulates for each catalog order: the source of the (Bob,
+# Alice) angles, the provenance note, the verification tolerance (wider where
+# the angles are decimals), and C_LHS and V_LHS as (label, value). The
+# 10-setting C_LHS is a tabulated decimal that does not match the value
+# computed from the tabulated directions (27.2321, which matches the tabulated
+# V_LHS 0.6779); it is the exact bound of the other maximizing (theta0,
+# theta1) = (-2.9224, -2.3630) pair. `reference_notes` sets both side by side.
+_ORDERS = {
+    2: (
+        _angles_2,
+        "The tabulated polar angles (0 and pi) make Bob's two directions antiparallel, which "
+        "caps the Bell value at 2; the canonical orthogonal pair (0,0,1), (1,0,0) is stored "
+        "instead and attains 2*sqrt(2) with best-response partners. The degenerate tabulated "
+        "pairs are kept for diagnostics.",
+        1e-6,
+        ("2", 2.0),
+        ("1/sqrt(2)", 1 / sqrt(2)),
+    ),
+    4: (
+        _angles_4,
+        "Both parties fully tabulated. As tabulated, the Alice set reaches only 60% of the "
+        "quantum maximum; negating its x components attains the maximum exactly, and the "
+        "azimuthal angles already match the best response (see verify_directions).",
+        1e-6,
+        ("2*sqrt(23/3)", 2 * sqrt(23 / 3)),
+        ("sqrt(23)/(5*sqrt(2))", sqrt(23) / (5 * sqrt(2))),
+    ),
+    6: (
+        _angles_6,
+        _BOB_ONLY_NOTES,
+        1e-6,
+        ("sqrt(358/3)", sqrt(358 / 3)),
+        ("sqrt(179)/(14*sqrt(2))", sqrt(179) / (14 * sqrt(2))),
+    ),
+    8: (
+        _angles_8,
+        _BOB_ONLY_NOTES,
+        1e-6,
+        ("sqrt(2*(10444 + sqrt(20305))/65)", sqrt(2 * (10444 + sqrt(20305)) / 65)),
+        ("0.6726 (tabulated decimal)", 0.6726),
+    ),
+    10: (
+        lambda: (_ANGLES_10, None),
+        "Bob's angles tabulated numerically to 4-5 decimal places (verification tolerance "
+        "widens to 1e-3 accordingly). No Alice angles are tabulated; she is reconstructed by "
+        "best response.",
+        1e-3,
+        ("27.0955 (tabulated decimal, inconsistent with the directions)", 27.0955),
+        ("0.6779 (tabulated decimal)", 0.6779),
+    ),
+}
+
+SUPPORTED_SETTINGS = tuple(_ORDERS)
+
 
 @dataclass(frozen=True)
 class DirectionCatalogEntry:
-    """Direction sets for one catalog order, plus provenance notes.
+    """Direction sets for one catalog order, with the paper's figures for it.
 
     `alice_directions` is None where the tabulated data does not fully
     determine Alice (she is then reconstructed by best response on demand).
-    The n=2 entry additionally keeps the raw tabulated pairs, which are
-    degenerate, for diagnostics.
+    `tolerance` is the deviation from the quantum maximum that
+    `verify_directions` accepts, and `c_lhs_reference` and `v_lhs_reference`
+    are the tabulated C_LHS and V_LHS as (label, value). The n=2 entry
+    additionally keeps the raw tabulated pairs, which are degenerate, for
+    diagnostics.
     """
 
     n: int
     bob_directions: np.ndarray
     alice_directions: np.ndarray | None
     notes: str
+    tolerance: float
+    c_lhs_reference: tuple[str, float]
+    v_lhs_reference: tuple[str, float]
     tabulated_bob: np.ndarray | None = None
     tabulated_alice: np.ndarray | None = None
 
@@ -130,64 +188,34 @@ class DirectionCatalogEntry:
 def catalog_directions(n: int) -> DirectionCatalogEntry:
     """Return the tabulated direction entry for n in SUPPORTED_SETTINGS."""
     n = require_even_settings(n)
-    if n not in SUPPORTED_SETTINGS:
+    if n not in _ORDERS:
         raise ValueError(
             f"no tabulated directions for n={n}; supported orders are "
             f"{', '.join(str(k) for k in SUPPORTED_SETTINGS)}"
         )
-    if n == 2:
-        thetas, phis = _angles_2()
-        return DirectionCatalogEntry(
-            n=2,
-            bob_directions=np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
-            alice_directions=None,
-            notes=(
-                "The tabulated polar angles (0 and pi) make Bob's two "
-                "directions antiparallel, which caps the Bell value at 2; "
-                "the canonical orthogonal pair (0,0,1), (1,0,0) is stored "
-                "instead and attains 2*sqrt(2) with best-response partners. "
-                "The degenerate tabulated pairs are kept for diagnostics."
-            ),
-            tabulated_bob=_yz_direction_set(thetas),
-            tabulated_alice=_yz_direction_set(phis),
-        )
-    if n == 4:
-        thetas, phis = _angles_4()
-        return DirectionCatalogEntry(
-            n=4,
-            bob_directions=unified_direction_set(4, thetas),
-            alice_directions=unified_direction_set(4, phis),
-            notes=(
-                "Both parties fully tabulated. As tabulated, the Alice set "
-                "reaches only 60% of the quantum maximum; negating its x "
-                "components attains the maximum exactly, and the azimuthal "
-                "angles already match the best response (see "
-                "verify_directions)."
-            ),
-        )
-    if n in (6, 8):
-        thetas, _phis = _angles_6() if n == 6 else _angles_8()
-        return DirectionCatalogEntry(
-            n=n,
-            bob_directions=unified_direction_set(n, thetas),
-            alice_directions=None,
-            notes=(
-                "Bob fully tabulated. Alice's azimuthal angles are tabulated "
-                "only for the interior directions (the first is not), so no "
-                "Alice set is stored; she is reconstructed by best response."
-            ),
-        )
-    thetas = list(_ANGLES_10)
-    return DirectionCatalogEntry(
-        n=10,
-        bob_directions=unified_direction_set(10, thetas),
-        alice_directions=None,
-        notes=(
-            "Bob's angles tabulated numerically to 4-5 decimal places "
-            "(verification tolerance widens to 1e-3 accordingly). No Alice "
-            "angles are tabulated; she is reconstructed by best response."
-        ),
-    )
+    angles, *figures = _ORDERS[n]
+    thetas, phis = angles()
+    if n == 2:  # the tabulated pairs are degenerate; the canonical pair stands in
+        canonical = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        tabulated = _yz_direction_set(thetas), _yz_direction_set(phis)
+        return DirectionCatalogEntry(2, canonical, None, *figures, *tabulated)
+    # Only n = 4 tabulates every one of Alice's angles.
+    alice = unified_direction_set(n, phis) if n == 4 else None
+    return DirectionCatalogEntry(n, unified_direction_set(n, thetas), alice, *figures)
+
+
+def reference_notes(entry: DirectionCatalogEntry, c_lhs: float, quantum_max: float) -> list[str]:
+    """Notes on the entry's tabulated figures; at n = 10 they are set against c_lhs."""
+    if entry.n != 10:
+        return []
+    (_, c_ref), (_, v_ref) = entry.c_lhs_reference, entry.v_lhs_reference
+    return [
+        f"computed bound {c_lhs:.6f} disagrees with the tabulated reference "
+        f"{c_ref:.4f}; the computed quotient {c_lhs / quantum_max:.6f} matches "
+        f"the tabulated visibility threshold {v_ref:.4f}, while the reference "
+        f"bound would imply {c_ref / quantum_max:.6f}; the two tabulated figures "
+        f"are mutually inconsistent and both are reported"
+    ]
 
 
 def entry_to_dict(entry: DirectionCatalogEntry) -> dict:
@@ -305,7 +333,7 @@ def verify_directions(n: int, entry: DirectionCatalogEntry | None = None) -> Ver
     n = entry.n
     m = build_as_matrix(n)
     target = max_quantum_closed_form(n)
-    tolerance = VERIFY_TOLERANCE.get(n, DEFAULT_VERIFY_TOLERANCE)
+    tolerance = entry.tolerance
 
     evaluations: list[DirectionEvaluation] = []
     anomalies: list[str] = list(_collinear_pairs(entry.bob_directions, "bob"))

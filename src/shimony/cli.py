@@ -38,48 +38,47 @@ def _signed_text(values) -> str:
     return " ".join(f"{int(v):+d}" for v in values)
 
 
-def _steering_request(args) -> tuple[int, np.ndarray, str]:
-    """Order n and Bob's directions, from --directions JSON or the built-in catalog.
+def _steering_request(args) -> tuple[int, np.ndarray, catalog.DirectionCatalogEntry | None]:
+    """Order n, Bob's directions and the catalog entry (None for a --directions file).
 
     n must be even and within the steering cap, checked before a file is read.
     """
     n = matrices.require_even_settings(args.n)
     matrices.require_steering_size(n)
     if args.directions is None:
-        return n, catalog.catalog_directions(n).bob_directions, "catalog"
+        entry = catalog.catalog_directions(n)
+        return n, entry.bob_directions, entry
     try:
         loaded = catalog.load_directions_file(args.directions)
     except ValueError as exc:
         raise ValueError(f"{args.directions}: {exc}") from exc
     if loaded["n"] != n:
         raise ValueError(f"{args.directions}: file is for n={loaded['n']}, command asked for n={n}")
-    return n, loaded["bob"], "file"
+    return n, loaded["bob"], None
 
 
-_NO_FIGURES = steering.PaperFigures(None, None, None, None, None)
-
-
-def _evaluate(n: int, m, bob, source: str, quantum_max: float):
-    """The per-order evaluation: thresholds, paper figures (none for a file) and named cells."""
+def _evaluate(n: int, m, bob, entry, quantum_max: float):
+    """The per-order evaluation: thresholds, the entry's notes (none for a file) and named cells."""
     pair = steering.werner_thresholds(m, bob, quantum_max)
-    figures = _NO_FIGURES
-    if source == "catalog":
-        figures = steering.paper_figures(n, pair.lhs.value, quantum_max)
+    notes, c_ref, v_ref = [], None, None
+    if entry is not None:
+        notes = catalog.reference_notes(entry, pair.lhs.value, quantum_max)
+        c_ref, v_ref = entry.c_lhs_reference[1], entry.v_lhs_reference[1]
     state = pair.lhs.bob_state_direction.tolist()
     cells = {
         "n": n,
         "c_lhv": pair.c_lhv,
         "c_lhs": pair.lhs.value,
-        "c_lhs_reference": figures.c_lhs,
+        "c_lhs_reference": c_ref,
         "quantum_max": pair.quantum_max,
         "v_lhv": pair.v_lhv,
         "v_lhs": pair.v_lhs_fixed_bob,
-        "v_lhs_reference": figures.v_lhs,
-        "v_lhs_from_reference_bound": figures.v_lhs_from_c_lhs,
+        "v_lhs_reference": v_ref,
+        "v_lhs_from_reference_bound": None if c_ref is None else c_ref / quantum_max,
         **dict(zip(["bob_state_x", "bob_state_y", "bob_state_z"], state)),
         "witness": _signed_text(pair.lhs.alice_witness),
     }
-    return pair, figures, cells
+    return pair, notes, cells
 
 
 def _one_row(name: str, cells: dict, columns=None) -> Table:
@@ -132,12 +131,12 @@ def cmd_bounds(args) -> Outcome:
 
 
 def cmd_lhs(args) -> Outcome:
-    n, bob, source = _steering_request(args)
+    n, bob, entry = _steering_request(args)
     m = matrices.build_as_matrix(n)
-    pair, figures, cells = _evaluate(n, m, bob, source, quantum.max_quantum_closed_form(n))
-    metadata = _metadata(n=n, directions_source=source)
-    if figures.c_lhs_label is not None:
-        metadata["reference"] = figures.c_lhs_label
+    pair, notes, cells = _evaluate(n, m, bob, entry, quantum.max_quantum_closed_form(n))
+    metadata = _metadata(n=n, directions_source="file" if entry is None else "catalog")
+    if entry is not None:
+        metadata["reference"] = entry.c_lhs_reference[0]
     columns = _TABLES["lhs"]
     if args.oracle:
         oracle_value = steering.steering_lhs_bound_oracle(m, bob)
@@ -145,22 +144,24 @@ def cmd_lhs(args) -> Outcome:
         columns = columns + ["c_lhs_oracle", "oracle_delta"]
     extra = {"witness": pair.lhs.alice_witness, "bob_state": pair.lhs.bob_state_direction}
     table = _one_row("lhs", cells, columns)
-    return OutputDocument("lhs", [table], list(figures.notes), metadata, extra), EXIT_OK
+    return OutputDocument("lhs", [table], notes, metadata, extra), EXIT_OK
 
 
 def cmd_thresholds(args) -> Outcome:
-    n, bob, source = _steering_request(args)
+    n, bob, entry = _steering_request(args)
     m = matrices.build_as_matrix(n)
+    source = "file" if entry is None else "catalog"
     metadata = _metadata(n=n, directions_source=source, quantum_max_source=args.quantum_max)
     if args.quantum_max == "seesaw":
         quantum_max = multistart_seesaw(m, restarts=args.restarts, seed=args.seed).value
         metadata.update(restarts=args.restarts, seed=args.seed)
     else:
         quantum_max = quantum.max_quantum_closed_form(n)
-    pair, figures, cells = _evaluate(n, m, bob, source, quantum_max)
-    if figures.v_lhs_label is not None:
-        metadata.update(v_lhs_reference=figures.v_lhs_label, c_lhs_reference=figures.c_lhs_label)
-    notes = list(figures.notes)
+    pair, notes, cells = _evaluate(n, m, bob, entry, quantum_max)
+    if entry is not None:
+        metadata.update(
+            v_lhs_reference=entry.v_lhs_reference[0], c_lhs_reference=entry.c_lhs_reference[0]
+        )
     extra = {key: cells[key] for key in ("n", "c_lhs", "c_lhv", "v_lhs", "v_lhv")}
     extra.update(witness=pair.lhs.alice_witness, bob_state=pair.lhs.bob_state_direction)
     if pair.below_quantum_max:
@@ -219,11 +220,12 @@ def cmd_tables(args) -> Outcome:
     notes = []
     for n in catalog.SUPPORTED_SETTINGS:
         quantum_max = quantum.max_quantum_closed_form(n)
-        bob = catalog.catalog_directions(n).bob_directions
-        _, figures, cells = _evaluate(n, matrices.build_as_matrix(n), bob, "catalog", quantum_max)
-        notes += figures.notes
+        entry = catalog.catalog_directions(n)
+        m = matrices.build_as_matrix(n)
+        _, order_notes, cells = _evaluate(n, m, entry.bob_directions, entry, quantum_max)
+        notes += order_notes
         for name in _PAPER_TABLES:
-            cells["note"] = _TABLE_NOTES.get(name, "") if figures.notes else ""
+            cells["note"] = _TABLE_NOTES.get(name, "") if order_notes else ""
             rows[name].append([cells[column] for column in _TABLES[name]])
     tables = [Table(name, _TABLES[name], rows[name]) for name in _PAPER_TABLES]
     metadata = _metadata(orders=list(catalog.SUPPORTED_SETTINGS))

@@ -40,7 +40,6 @@ from shimony.quantum import (
 )
 from shimony.seesaw import alice_best_response, multistart_seesaw
 from shimony.steering import (
-    VISIBILITY_LHS_REFERENCES,
     steering_lhs_bound,
     steering_lhs_bound_oracle,
     visibility_lhv_closed_form,
@@ -152,7 +151,7 @@ def test_criterion_2_table2(capsys):
         v_lhv = lhv_bound_bruteforce(m).value / quantum_max
         v_lhs = steering_lhs_bound(m, catalog_directions(n).bob_directions).value / quantum_max
         worst_lhv = max(worst_lhv, abs(v_lhv - visibility_lhv_closed_form(n)))
-        reference = VISIBILITY_LHS_REFERENCES[n][1]
+        reference = catalog_directions(n).v_lhs_reference[1]
         worst_lhs = max(worst_lhs, abs(v_lhs - reference))
     ok = worst_lhv <= 1e-9 and worst_lhs <= 1e-3
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from shimony import cli
-from shimony.catalog import catalog_directions, entry_to_dict
+from shimony.catalog import catalog_directions, entry_to_dict, verify_directions
 from shimony.output import OutputDocument, round_sig
 from shimony.seesaw import random_measurement_set
 from shimony.steering import visibility_lhv_closed_form
@@ -339,6 +339,51 @@ def test_thresholds_10_emits_quotient_and_references(capsys):
     assert row["v_lhs_reference"] == 0.6779
     assert row["v_lhs_from_reference_bound"] == pytest.approx(0.6745825708, abs=1e-6)
     assert doc["notes"]
+
+
+# The paper's tabulated C_LHS and V_LHS of each catalog order, as (label, value),
+# and the tolerance verify-directions checks the order's angles to.
+PAPER_FIGURES = {
+    2: (("2", 2.0), ("1/sqrt(2)", 1 / math.sqrt(2)), 1e-6),
+    4: (
+        ("2*sqrt(23/3)", 2 * math.sqrt(23 / 3)),
+        ("sqrt(23)/(5*sqrt(2))", math.sqrt(23) / (5 * math.sqrt(2))),
+        1e-6,
+    ),
+    6: (
+        ("sqrt(358/3)", math.sqrt(358 / 3)),
+        ("sqrt(179)/(14*sqrt(2))", math.sqrt(179) / (14 * math.sqrt(2))),
+        1e-6,
+    ),
+    8: (
+        ("sqrt(2*(10444 + sqrt(20305))/65)", math.sqrt(2 * (10444 + math.sqrt(20305)) / 65)),
+        ("0.6726 (tabulated decimal)", 0.6726),
+        1e-6,
+    ),
+    10: (
+        ("27.0955 (tabulated decimal, inconsistent with the directions)", 27.0955),
+        ("0.6779 (tabulated decimal)", 0.6779),
+        1e-3,
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PAPER_FIGURES))
+def test_paper_figures_pinned(capsys, n):
+    (c_label, c_value), (v_label, v_value), tolerance = PAPER_FIGURES[n]
+    docs = {}
+    for command in ("lhs", "thresholds"):
+        code, out, _ = run_cli(capsys, command, str(n), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        table = doc["tables"][0]
+        docs[command] = doc["metadata"], dict(zip(table["columns"], table["rows"][0]))
+    (lhs_meta, lhs_row), (thresholds_meta, thresholds_row) = docs["lhs"], docs["thresholds"]
+    assert lhs_meta["reference"] == thresholds_meta["c_lhs_reference"] == c_label
+    assert thresholds_meta["v_lhs_reference"] == v_label
+    assert lhs_row["c_lhs_reference"] == round_sig(c_value)
+    assert thresholds_row["v_lhs_reference"] == round_sig(v_value)
+    assert verify_directions(n).tolerance == tolerance
 
 
 @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])

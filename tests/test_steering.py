@@ -20,7 +20,6 @@ from shimony.matrices import (
 from shimony.quantum import bell_quantum_value, max_quantum_closed_form
 from shimony.seesaw import alice_best_response, random_measurement_set
 from shimony.steering import (
-    LHS_BOUND_REFERENCES,
     steering_lhs_bound,
     steering_lhs_bound_oracle,
     visibility_lhv_closed_form,
@@ -46,7 +45,7 @@ def test_as2_canonical_pair_exact():
 def test_catalog_bounds_match_surds(n):
     result = steering_lhs_bound(build_as_matrix(n), catalog_directions(n).bob_directions)
     assert result.value == pytest.approx(SURDS[n], abs=1e-9)
-    assert result.value == pytest.approx(LHS_BOUND_REFERENCES[n][1], abs=1e-9)
+    assert result.value == pytest.approx(catalog_directions(n).c_lhs_reference[1], abs=1e-9)
 
 
 def test_n10_bound_regression():
@@ -75,17 +74,14 @@ def test_oracle_agrees_on_random_directions(n):
         assert steering_lhs_bound_oracle(m, bob) == pytest.approx(fast, abs=1e-6)
 
 
-@pytest.mark.parametrize("grid_size", [16, 64, 1000, 3000])
 @pytest.mark.parametrize("n", [8, 10])
-def test_oracle_agrees_at_non_power_of_two_grids(n, grid_size):
-    # grid_size is the least number of starting triangles: 16, 64, 1000 and
-    # 3000 start the search from 32, 128, 2048 and 8192 of them.
+def test_oracle_agrees_at_non_power_of_two_grids(n):
+    # ORACLE_GRID_SIZE = 16 is the least number of starting triangles, so the
+    # search starts from 32 of them, not a power of four.
     m = build_as_matrix(n)
     bob = catalog_directions(n).bob_directions
     fast = steering_lhs_bound(m, bob).value
-    assert steering_lhs_bound_oracle(m, bob, grid_size=grid_size) == pytest.approx(
-        fast, rel=1e-12
-    )
+    assert steering_lhs_bound_oracle(m, bob) == pytest.approx(fast, rel=1e-12)
 
 
 def test_oracle_grid_block_memory_is_bounded():
@@ -348,15 +344,6 @@ def test_oracle_on_lattice_directions_with_rows_of_mixed_scale():
         assert oracle == pytest.approx(fast, rel=1e-12, abs=0)
 
 
-def test_oracle_grid_validation():
-    with pytest.raises(ValueError, match="grid_size"):
-        steering_lhs_bound_oracle(build_as_matrix(2), [[0, 0, 1], [1, 0, 0]], grid_size=4)
-    with pytest.raises(ValueError, match="grid_size"):
-        steering_lhs_bound_oracle(
-            build_as_matrix(4), catalog_directions(4).bob_directions, grid_size=8
-        )
-
-
 @st.composite
 def thin_cell_inputs(draw):
     """Inputs whose zonotope has thin or empty cells, with n up to 20.
@@ -387,9 +374,9 @@ def thin_cell_inputs(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(thin_cell_inputs(), st.sampled_from([16, 64, 4096]))
-def test_oracle_matches_kernel_on_thin_cells(inputs, grid_size):
+@given(thin_cell_inputs())
+def test_oracle_matches_kernel_on_thin_cells(inputs):
     m, bob = inputs
     fast = steering_lhs_bound(m, bob).value
-    oracle = steering_lhs_bound_oracle(m, bob, grid_size=grid_size)
+    oracle = steering_lhs_bound_oracle(m, bob)
     assert oracle == pytest.approx(fast, rel=1e-12, abs=0)
