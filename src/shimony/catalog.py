@@ -67,7 +67,9 @@ def _angles_4() -> tuple[list[float], list[float]]:
     return [theta_0, theta_1], [phi_0, phi_1]
 
 
-def _angles_6() -> tuple[list[float], list[float | None]]:
+# At n = 6 and 8 Alice's interior azimuths phi_k only feed Bob's polar angles;
+# her first azimuth is not tabulated, so no Alice set is returned.
+def _angles_6() -> tuple[list[float], None]:
     theta_3 = -asin(4 / (3 * sqrt(11)))
     phi_1 = theta_3 + acos(5 / (6 * sqrt(3)))
     theta_2 = -acos(-5 / (2 * sqrt(21))) + acos(sqrt(83) / (2 * sqrt(231)))
@@ -75,10 +77,10 @@ def _angles_6() -> tuple[list[float], list[float | None]]:
     theta_1 = theta_2 - phi_1 + phi_2
     phi_3 = theta_1 + acos(5 / (6 * sqrt(3)))
     theta_0 = phi_3 - acos(-4 / (3 * sqrt(11)))
-    return [theta_0, theta_1, theta_2, theta_3], [None, phi_1, phi_2, phi_3]
+    return [theta_0, theta_1, theta_2, theta_3], None
 
 
-def _angles_8() -> tuple[list[float], list[float | None]]:
+def _angles_8() -> tuple[list[float], None]:
     theta_5 = -asin(4 / (3 * sqrt(19)))
     phi_1 = theta_5 + acos(5 / (6 * sqrt(5)))
     theta_4 = -acos(-5 / (2 * sqrt(39))) + acos(sqrt(155) / (2 * sqrt(741)))
@@ -90,12 +92,8 @@ def _angles_8() -> tuple[list[float], list[float | None]]:
     theta_2 = theta_3 - phi_2 + phi_3
     phi_5 = theta_2 - theta_5 + phi_2
     theta_1 = theta_2 - phi_1 + phi_2
-    phi_4 = theta_1 - theta_4 + phi_1
     theta_0 = phi_5 - acos(-4 / (3 * sqrt(19)))
-    return (
-        [theta_0, theta_1, theta_2, theta_3, theta_4, theta_5],
-        [None, phi_1, phi_2, phi_3, phi_4, phi_5],
-    )
+    return [theta_0, theta_1, theta_2, theta_3, theta_4, theta_5], None
 
 
 # Tabulated to 4-5 decimal places; no azimuthal angles are tabulated.
@@ -199,8 +197,7 @@ def catalog_directions(n: int) -> DirectionCatalogEntry:
         canonical = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         tabulated = _yz_direction_set(thetas), _yz_direction_set(phis)
         return DirectionCatalogEntry(2, canonical, None, *figures, *tabulated)
-    # Only n = 4 tabulates every one of Alice's angles.
-    alice = unified_direction_set(n, phis) if n == 4 else None
+    alice = None if phis is None else unified_direction_set(n, phis)
     return DirectionCatalogEntry(n, unified_direction_set(n, thetas), alice, *figures)
 
 
@@ -326,17 +323,26 @@ def _collinear_pairs(directions: np.ndarray, label: str) -> list[str]:
     return found
 
 
-def verify_directions(n: int, entry: DirectionCatalogEntry | None = None) -> VerificationReport:
-    """Evaluate an entry against the closed-form maximum and flag anomalies."""
-    if entry is None:
-        entry = catalog_directions(n)
+def verify_directions(entry: DirectionCatalogEntry) -> VerificationReport:
+    """Evaluate an entry's direction sets against the closed-form maximum.
+
+    Each set (the catalog set, then the n=2 tabulated pairs) is checked for
+    collinear directions, its tabulated Alice set if any, and the best
+    response; a tabulated Alice set is diagnosed only when Bob's set can
+    reach the maximum, since otherwise Bob's set is what caps the value.
+    """
     n = entry.n
     m = build_as_matrix(n)
     target = max_quantum_closed_form(n)
     tolerance = entry.tolerance
+    direction_sets = [("catalog", "bob", entry.bob_directions, entry.alice_directions)]
+    if entry.tabulated_bob is not None:
+        direction_sets.append(
+            ("tabulated", "tabulated bob", entry.tabulated_bob, entry.tabulated_alice)
+        )
 
     evaluations: list[DirectionEvaluation] = []
-    anomalies: list[str] = list(_collinear_pairs(entry.bob_directions, "bob"))
+    anomalies: list[str] = []
 
     def evaluate(label: str, alice_source: str, alice, bob) -> DirectionEvaluation:
         value = bell_quantum_value(m, alice, bob)
@@ -351,12 +357,18 @@ def verify_directions(n: int, entry: DirectionCatalogEntry | None = None) -> Ver
         evaluations.append(evaluation)
         return evaluation
 
-    if entry.alice_directions is not None:
-        given = evaluate("catalog", "tabulated", entry.alice_directions, entry.bob_directions)
-        if not given.passed:
-            mirrored = entry.alice_directions.copy()
-            mirrored[:, 0] = -mirrored[:, 0]
-            mirrored_value = bell_quantum_value(m, mirrored, entry.bob_directions)
+    for label, bob_label, bob, alice in direction_sets:
+        anomalies.extend(_collinear_pairs(bob, bob_label))
+        given = None if alice is None else evaluate(label, "tabulated", alice, bob)
+        best = evaluate(label, "best-response", alice_best_response(m, bob), bob)
+        if not best.passed:
+            anomalies.append(
+                f"{bob_label} directions cap the value at {best.value:.9g} "
+                f"even with best-response alice (target {target:.9g})"
+            )
+        elif given is not None and not given.passed:
+            mirrored = alice * (-1.0, 1.0, 1.0)
+            mirrored_value = bell_quantum_value(m, mirrored, bob)
             diagnosis = (
                 f"tabulated alice directions attain {given.value:.9g}, not the "
                 f"target {target:.9g}"
@@ -367,29 +379,6 @@ def verify_directions(n: int, entry: DirectionCatalogEntry | None = None) -> Ver
                     "so the tabulated x signs are flipped"
                 )
             anomalies.append(diagnosis)
-
-    evaluate(
-        "catalog",
-        "best-response",
-        alice_best_response(m, entry.bob_directions),
-        entry.bob_directions,
-    )
-
-    if entry.tabulated_bob is not None:
-        anomalies.extend(_collinear_pairs(entry.tabulated_bob, "tabulated bob"))
-        if entry.tabulated_alice is not None:
-            evaluate("tabulated", "tabulated", entry.tabulated_alice, entry.tabulated_bob)
-        tabulated_best = evaluate(
-            "tabulated",
-            "best-response",
-            alice_best_response(m, entry.tabulated_bob),
-            entry.tabulated_bob,
-        )
-        if not tabulated_best.passed:
-            anomalies.append(
-                f"tabulated bob directions cap the value at {tabulated_best.value:.9g} "
-                f"even with best-response alice (target {target:.9g})"
-            )
 
     witness = seesaw(m, entry.bob_directions)
     passed = not anomalies and all(e.passed for e in evaluations)

@@ -239,7 +239,7 @@ def cmd_tables(args) -> Outcome:
 
 def cmd_verify_directions(args) -> Outcome:
     entry = catalog.catalog_directions(args.n)
-    report = catalog.verify_directions(args.n, entry)
+    report = catalog.verify_directions(entry)
     rows = [
         [e.label, e.alice_source, e.value, report.target, e.deviation, report.tolerance, e.passed]
         for e in report.evaluations

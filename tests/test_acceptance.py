@@ -295,7 +295,7 @@ def test_criterion_6_property_suite():
 
 def test_criterion_7_direction_verification(capsys):
     """Verification report pins down the n=4 tabulated-direction anomaly."""
-    report = verify_directions(4)
+    report = verify_directions(catalog_directions(4))
     target = max_quantum_closed_form(4)
     tabulated = [e for e in report.evaluations if e.alice_source == "tabulated"]
     tabulated_value = tabulated[0].value
@@ -309,7 +309,7 @@ def test_criterion_7_direction_verification(capsys):
     entry2 = catalog_directions(2)
     canonical = bell_quantum_value(
         build_as_matrix(2),
-        verify_directions(2).witness_alice,
+        verify_directions(catalog_directions(2)).witness_alice,
         entry2.bob_directions,
     )
     n2_ok = abs(canonical - 2.0 * math.sqrt(2.0)) <= 1e-9

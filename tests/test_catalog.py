@@ -1,5 +1,7 @@
 """Direction catalog: structure, attained maxima, anomaly reporting."""
 
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -105,7 +107,7 @@ def test_bob_catalogs_attain_quantum_maximum(n, tol):
 
 
 def test_verify_4_reports_sign_anomaly():
-    report = verify_directions(4)
+    report = verify_directions(catalog_directions(4))
     assert not report.passed
     given = report.evaluations[0]
     assert given.alice_source == "tabulated"
@@ -120,7 +122,7 @@ def test_verify_4_reports_sign_anomaly():
 
 
 def test_verify_2_flags_collinearity():
-    report = verify_directions(2)
+    report = verify_directions(catalog_directions(2))
     assert not report.passed
     assert any("antiparallel" in a for a in report.anomalies)
     canonical = report.evaluations[0]
@@ -134,11 +136,56 @@ def test_verify_2_flags_collinearity():
 
 @pytest.mark.parametrize("n", [6, 8, 10])
 def test_verify_passes_for_consistent_entries(n):
-    report = verify_directions(n)
+    report = verify_directions(catalog_directions(n))
     assert report.passed
     assert report.anomalies == ()
     assert all(e.passed for e in report.evaluations)
     assert report.evaluations[0].deviation <= report.tolerance
+
+
+# SHA-256 of each entry's JSON view plus its tabulated pairs, so that no
+# rewrite of the angle closed forms moves a stored component.
+ENTRY_DIGESTS = {
+    2: "cc8d2889f232069fa45733a4124bef24fa4130ec505cad282937833f0c1d2a1c",
+    4: "5849785b61416a031e9002692c47f3631c493ee9c19e8d9a20727a476cb7e507",
+    6: "40c7906e0d64a5722676fc725e08c81c22a06699799782d827d4752984421967",
+    8: "1e3e3a06f7c50c6072e710c74b26d3eda54e1c16808e459e34c1e58c3b102bec",
+    10: "988015a6af26990d7a9971737f8679f740f7459792c6279c13d35521960fa2f9",
+}
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SETTINGS)
+def test_entry_bytes_pinned(n):
+    entry = catalog_directions(n)
+    data = entry_to_dict(entry)
+    for key in ("tabulated_bob", "tabulated_alice"):
+        rows = getattr(entry, key)
+        data[key] = None if rows is None else rows.tolist()
+    assert hashlib.sha256(json.dumps(data).encode("utf-8")).hexdigest() == ENTRY_DIGESTS[n]
+
+
+def test_verify_passes_once_alice_x_signs_are_restored():
+    entry = catalog_directions(4)
+    restored = entry.alice_directions * (-1.0, 1.0, 1.0)
+    report = verify_directions(dataclasses.replace(entry, alice_directions=restored))
+    assert report.passed
+    assert report.anomalies == ()
+    assert [e.alice_source for e in report.evaluations] == ["tabulated", "best-response"]
+
+
+def test_verify_diagnoses_alice_only_where_bob_reaches_the_maximum():
+    # Antiparallel Bob rows cap the value, so the tabulated Alice set, which
+    # misses too, is not diagnosed: Bob's set is what falls short.
+    entry = catalog_directions(4)
+    bob = entry.bob_directions.copy()
+    bob[1] = -bob[0]
+    report = verify_directions(dataclasses.replace(entry, bob_directions=bob))
+    assert not report.passed
+    assert len(report.anomalies) == 2
+    assert report.anomalies[0].startswith("bob directions 1 and 2 are antiparallel")
+    assert report.anomalies[1].startswith("bob directions cap the value at")
+    assert not any("tabulated alice" in a for a in report.anomalies)
+    assert not any(e.passed for e in report.evaluations)
 
 
 def test_entry_to_dict_schema():

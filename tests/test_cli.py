@@ -383,7 +383,7 @@ def test_paper_figures_pinned(capsys, n):
     assert thresholds_meta["v_lhs_reference"] == v_label
     assert lhs_row["c_lhs_reference"] == round_sig(c_value)
     assert thresholds_row["v_lhs_reference"] == round_sig(v_value)
-    assert verify_directions(n).tolerance == tolerance
+    assert verify_directions(catalog_directions(n)).tolerance == tolerance
 
 
 @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
@@ -537,6 +537,22 @@ JSON_PINS = [
 def test_json_bytes_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# verify-directions JSON bytes, with the exit code (3 where the tabulated
+# data carries an anomaly).
+VERIFY_JSON_PINS = [
+    (2, 3, "b5ed808da450ec3fb2132bdab9f84acc40ab16bc884d8d3269ee41db9b785cda"),
+    (4, 3, "9f1b16cb422e765af32d4bddb7bdfb6baa12e240ca669e0869f789a7c93c8d2e"),
+    (10, 0, "e648936dedb9fdfad0a660d4db65b6ca0f687cec39286b2b2542e8cd2057d2b9"),
+]
+
+
+@pytest.mark.parametrize("n, expected, digest", VERIFY_JSON_PINS)
+def test_verify_directions_json_bytes_pinned(capsys, n, expected, digest):
+    code, out, _ = run_cli(capsys, "verify-directions", str(n), "--format", "json")
+    assert code == expected
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
