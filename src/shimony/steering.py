@@ -166,15 +166,12 @@ def _sweep_candidates(gen: np.ndarray, d: np.ndarray, window: float) -> np.ndarr
 def _lhs_witness(w: np.ndarray) -> np.ndarray:
     """Alice's smallest assignment within STEERING_TIE_TOL of max_A ||A @ w||.
 
+    Zero rows take -1 and drop out first; the other rows are solved alone.
     The maximum is a vertex of the zonotope sum_i [-w_i, w_i], so only its
     O(n**2) vertices are scored, as the great-circle sweep finds them
-    (`_sweep_candidates`), after two reductions:
-
-    * rows whose flip moves any norm by at most the tolerance (zero rows
-      among them) are left out, and then take the sign of w_i . r, where r
-      is the candidate's resultant (-1 on 0);
-    * parallel and antiparallel rows are merged, each oriented along its
-      group's first row.
+    (`_sweep_candidates`). Every row, however short, goes through the sweep,
+    after parallel and antiparallel rows are merged, each oriented along
+    its group's first row.
 
     Every candidate is then scored again as a @ w, so ties are decided on
     resultants summed in one way whatever the sweep's order of summation.
@@ -184,36 +181,26 @@ def _lhs_witness(w: np.ndarray) -> np.ndarray:
     (-1 < +1) is the witness.
     """
     squares = np.einsum("ij,ij->i", w, w)
+    zero = squares == 0
+    if zero.any():
+        a = -np.ones(len(w), dtype=np.int64)
+        if not zero.all():
+            a[~zero] = _lhs_witness(w[~zero])
+        return a
     norms = np.sqrt(squares)
-    live = norms > STEERING_TIE_TOL / 2
-    everything = live.all()  # a shortcut: with the single-flip exit it saves 1.1-1.3x a call
-    if everything or live.any():
-        gen = w if everything else w[live]
-        d = gen / norms[live, None]
-        merged = _merge_parallel(d)
-        if merged is not None:
-            group, orientation = merged
-            gen = np.zeros((group.max() + 1, 3))
-            np.add.at(gen, group, orientation[:, None] * w[live])
-            d = gen / np.linalg.norm(gen, axis=1, keepdims=True)
-        # Signing the left-out rows moves each candidate's norm by at most
-        # the sum of their lengths, so two candidates' order can change by
-        # twice that. In norm, the sweep's sums round by at most about
-        # 4 n eps sum_i ||w_i|| and a @ w below by n eps sum_i ||w_i||; twice
-        # both is added, so rounding loses no candidate within the window.
-        window = STEERING_TIE_TOL + 2 * norms[~live].sum() + 10 * len(w) * _EPS * norms.sum()
-        patterns = _sweep_candidates(gen, d, window)
-        if merged is not None:
-            patterns = patterns[:, group] * orientation
-        if everything:
-            a = patterns
-        else:
-            a = -np.ones((len(patterns), len(w)))
-            a[:, live] = patterns
-    else:
-        a = -np.ones((1, len(w)))
-    if not everything:
-        a[:, ~live] = np.where(a @ w @ w[~live].T > 0, 1.0, -1.0)
+    gen, d = w, w / norms[:, None]
+    merged = _merge_parallel(d)
+    if merged is not None:
+        group, orientation = merged
+        gen = np.zeros((group.max() + 1, 3))
+        np.add.at(gen, group, orientation[:, None] * w)
+        d = gen / np.linalg.norm(gen, axis=1, keepdims=True)
+    # In norm, the sweep's sums round by at most about 4 n eps sum_i ||w_i||
+    # and a @ w below by n eps sum_i ||w_i||; twice both is added, so
+    # rounding loses no candidate within the window.
+    a = _sweep_candidates(gen, d, STEERING_TIE_TOL + 10 * len(w) * _EPS * norms.sum())
+    if merged is not None:
+        a = a[:, group] * orientation
     r = a @ w
     lengths = np.einsum("ij,ij->i", r, r)
     floor = _floor(lengths.max(), STEERING_TIE_TOL)
@@ -222,11 +209,8 @@ def _lhs_witness(w: np.ndarray) -> np.ndarray:
     # Flipping row k of a, or of its mirror -a, leaves ||r - 2 a_k w_k||**2.
     flips = lengths[:, None] + 4 * squares - 4 * a * (r @ w.T) >= floor
     starts = np.concatenate((a, -a))
-    if not everything:
-        starts[:, squares == 0] = -1.0
-        flips &= squares > 0
     flips = np.concatenate((flips, flips)) & (starts > 0)
-    # No start has two such rows to choose between, so the loop is skipped (see `everything`).
+    # No start has two such rows to choose between, so the loop is skipped (a measured shortcut).
     if flips.sum(axis=1).max() <= 1:
         starts[flips] = -1.0
     else:

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -610,23 +609,17 @@ def test_figure2_shape(tmp_path, capsys):
     assert len(lines) == 6  # header + five orders
 
 
-@pytest.mark.parametrize("no_numba", ["0", "1"])
-def test_tables_golden_across_backends(tmp_path, no_numba):
-    # numpy is the only backend; the former SHIMONY_NO_NUMBA flag, set either
-    # way in a fresh interpreter, must leave the output byte-identical.
-    outdir = tmp_path / f"backend_{no_numba}"
-    env = dict(os.environ, SHIMONY_NO_NUMBA=no_numba)
+def test_tables_golden_in_a_fresh_interpreter(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "shimony.cli", "tables", "--outdir", str(outdir)],
+        [sys.executable, "-m", "shimony.cli", "tables", "--outdir", str(tmp_path)],
         capture_output=True,
         text=True,
-        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     for name in ("table1", "table2", "figure2", "figure3"):
-        produced = (outdir / f"{name}.csv").read_bytes()
+        produced = (tmp_path / f"{name}.csv").read_bytes()
         expected = (GOLDEN / f"{name}.csv").read_bytes()
-        assert produced == expected, f"{name}.csv deviates under SHIMONY_NO_NUMBA={no_numba}"
+        assert produced == expected, f"{name}.csv deviates from its golden"
 
 
 def test_tables_stdout_csv_sections(capsys):

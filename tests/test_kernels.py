@@ -1,8 +1,8 @@
 """The LHV kernel and the steering bound's great-circle sweep against brute-force references.
 
 Two references: an itertools.product brute force, and `steering_max`, the
-2**n meet-in-the-middle steering kernel that the zonotope vertex search
-replaced, kept here unchanged as the reference for n <= 20.
+2**n meet-in-the-middle steering kernel that the library once used, kept
+here unchanged as the reference for n <= 20.
 """
 
 import itertools
@@ -286,11 +286,12 @@ def test_backend_name_consistent_with_dispatch():
 
 @st.composite
 def degenerate_inputs(draw):
-    """Steering inputs with n up to 20 and every degeneracy the sweep merges, skips or meets.
+    """Steering inputs with n up to 20 and every degeneracy the sweep merges, drops or meets.
 
     Rows of m may be zero, repeated, negated or doubled (parallel and
-    antiparallel rows of w); rows e_j - e_k over Bob directions 1e-14 or
-    1e-13 apart give rows of w of about that norm. Bob's set is random,
+    antiparallel rows of w); zero rows of w drop out before the sweep. Rows
+    e_j - e_k over Bob directions 1e-14 or 1e-13 apart give rows of w of
+    about that norm, which are swept like any other. Bob's set is random,
     coplanar, collinear (+-b), repeated (one direction), clustered within
     1e-7 to 1e-11 of one direction (nearly parallel rows that are not
     merged) or drawn from small integer vectors, which makes exact ties and
@@ -354,6 +355,6 @@ def test_parallel_chains_merge_into_one_group():
 
 @settings(max_examples=150, deadline=None)
 @given(degenerate_inputs())
-def test_vertex_search_matches_kernel_on_degenerate_inputs(inputs):
+def test_sweep_matches_kernel_on_degenerate_inputs(inputs):
     m, bob = inputs
     assert_steering_matches(m, bob, brute_force=len(m) <= 12)

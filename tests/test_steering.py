@@ -300,18 +300,23 @@ def test_linear_steering_inequality_closed_form(k):
 
 
 def degenerate_bob_sets(rng, n):
-    """Coplanar, three-direction and small-integer Bob sets of n unit rows.
+    """Coplanar, three-direction, small-integer and zero-plus-tiny Bob sets of n unit rows.
 
-    Each puts many generators of m @ bob in common planes (or on common
-    lines), so that several crossings of one great circle coincide and the
-    sweep meets arcs of zero length.
+    The first three put many generators of m @ bob in common planes (or on
+    common lines), so that several crossings of one great circle coincide
+    and the sweep meets arcs of zero length. The last is random with
+    direction 2 equal to direction 1 and direction 3 within 1e-13 of it, so
+    AS_n @ bob has a zero last row and a row n - 1 of norm about 2e-13.
     """
     coplanar = rng.standard_normal((n, 3))
     coplanar[:, 2] = 0.0
     repeated = random_unit_rows(rng, 3)[rng.integers(3, size=n)]
     integer = rng.integers(-1, 2, size=(n, 3)).astype(np.float64)
     integer[~integer.any(axis=1)] = [0.0, 0.0, 1.0]
-    for bob in (coplanar, repeated, integer):
+    tiny = random_unit_rows(rng, n)
+    tiny[1] = tiny[0]
+    tiny[2] = tiny[0] + 1e-13 * random_unit_rows(rng, 1)[0]
+    for bob in (coplanar, repeated, integer, tiny):
         yield bob / np.linalg.norm(bob, axis=1, keepdims=True)
 
 
@@ -326,6 +331,9 @@ def test_bound_beyond_the_enumeration_cap_matches_the_oracle(n):
         assert np.array_equal(result.column_sums, result.alice_witness @ m)
         assert np.linalg.norm(result.column_sums @ bob) == pytest.approx(result.value, rel=1e-14)
         assert steering_lhs_bound_oracle(m, bob) == pytest.approx(result.value, rel=1e-12)
+    # The last set, zero-plus-tiny, gives a zero last row, which takes -1.
+    assert not (m[-1] @ bob).any() and np.linalg.norm(m[-2] @ bob) < 1e-12
+    assert result.alice_witness[-1] == -1
 
 
 def test_oracle_on_lattice_directions_with_rows_of_mixed_scale():
