@@ -193,7 +193,7 @@ def cmd_seesaw(args) -> Outcome:
         restart_index=result.restart_index,
     )
     tables = [_one_row("seesaw", cells)]
-    if args.trajectory and result.trajectory is not None:
+    if args.trajectory:
         tables.append(
             Table(
                 "trajectory",

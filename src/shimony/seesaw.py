@@ -8,6 +8,7 @@ never decreases the value; alternating converges to a fixed point.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,6 @@ DEFAULT_RESTARTS = 32
 # Restarts run through the see-saw loop together, at most this many at a
 # time; the working arrays stay O(group * n) for any restart count.
 _RESTART_GROUP = 256
-
-_WORD = (1 << 64) - 1
 
 
 def _respond(resultants: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,41 +148,40 @@ def seesaw(
     return _best_run(m.astype(np.float64), bob[None], tol, max_iter, record_trajectory, 0)
 
 
-def _philox_key(seed: int, restart_index: int) -> int:
-    """(seed mod 2**64) << 64 | (restart_index mod 2**64)."""
-    return (int(seed) % (1 << 64)) << 64 | (int(restart_index) % (1 << 64))
+def _start_sets(n: int, seed: int, indices: Sequence[int]) -> np.ndarray:
+    """(len(indices), n, 3) uniform random unit directions, one set per restart index.
 
-
-def _seat(bit_generator: np.random.Philox, seed: int, restart_index: int) -> None:
-    """Put bit_generator in the state of a fresh Philox keyed by (seed, restart_index)."""
-    key = _philox_key(seed, restart_index)
-    bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([key & _WORD, key >> 64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _unit_rows(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal((n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    Set k is the first 3n standard normals of a fresh
+    Generator(Philox(key=(seed mod 2**64) << 64 | (indices[k] mod 2**64))),
+    each row normalized, so every (seed, restart) pair owns an independent
+    reproducible stream regardless of how restarts are scheduled. One bit
+    generator is put at the start of each stream in turn.
+    """
+    rng = np.random.Generator(np.random.Philox(key=0))
+    high = int(seed) % (1 << 64)
+    sets = np.empty((len(indices), n, 3))
+    for k, index in enumerate(indices):
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([int(index) % (1 << 64), high], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rng.standard_normal(out=sets[k])
+    return sets / np.linalg.norm(sets, axis=-1, keepdims=True)
 
 
 def random_measurement_set(n: int, seed: int, restart_index: int = 0) -> np.ndarray:
-    """Uniform random unit directions from a counter-keyed Philox stream.
+    """Uniform random unit directions from the keyed stream of (seed, restart_index).
 
-    The key is (seed mod 2**64) << 64 | restart_index, so every
-    (seed, restart) pair owns an independent reproducible stream regardless
-    of how restarts are scheduled.
+    The start set `multistart_seesaw` gives that restart (see `_start_sets`).
     """
-    key = _philox_key(seed, restart_index)
-    return _unit_rows(np.random.Generator(np.random.Philox(key=key)), n)
+    return _start_sets(n, seed, [restart_index])[0]
 
 
 def multistart_seesaw(
@@ -208,23 +206,13 @@ def multistart_seesaw(
     m = as_coefficient_matrix(m)
     n = m.shape[0]
     mf = m.astype(np.float64)
-    # One bit generator, put at the start of each restart's stream: the same
-    # draws as `random_measurement_set`, without building a Philox (and
-    # reading OS entropy) per restart.
-    bit_generator = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_generator)
-
-    def start_set(index: int) -> np.ndarray:
-        _seat(bit_generator, seed, index)
-        return _unit_rows(rng, n)
-
     best: OptimizationResult | None = None
     for first in range(0, restarts, _RESTART_GROUP):
         indices = range(first, min(first + _RESTART_GROUP, restarts))
         # Renormalized with the arithmetic `as_measurement_set` applies to the
         # start set of `seesaw`, so each restart matches `seesaw` bit for bit.
-        starts = np.stack([start_set(index) for index in indices])
-        starts = starts / np.linalg.norm(starts, axis=-1, keepdims=True)
+        starts = _start_sets(n, seed, indices)
+        starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
         result = _best_run(mf, starts, tol, max_iter, record_trajectory, first)
         if best is None or result.value > best.value:
             best = result

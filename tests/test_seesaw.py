@@ -114,41 +114,48 @@ def test_random_measurement_set_keying():
     assert np.allclose(np.linalg.norm(first, axis=1), 1.0, atol=1e-12)
 
 
+def _keyed_stream_set(n, seed, restart_index):
+    """The start set defined for (seed, restart_index), from a fresh Philox."""
+    key = (seed % 2**64) << 64 | (restart_index % 2**64)
+    v = np.random.Generator(np.random.Philox(key=key)).standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 @pytest.mark.parametrize(
     "seed, restart_index", [(0, 0), (7, 5), (-3, 1), (2**40, 2), (11, 2**63), (-3, 2**64 + 5)]
 )
 def test_seated_bit_generator_matches_fresh_philox(seed, restart_index):
-    # multistart_seesaw reuses one bit generator, seated at each restart's
-    # stream; its draws must be those of a fresh Generator(Philox(key=...)).
-    key = (seed % 2**64) << 64 | (restart_index % 2**64)
-    fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal((6, 3))
-    module = sys.modules["shimony.seesaw"]
-    bit_generator = np.random.Philox(key=12345)
-    used = np.random.Generator(bit_generator)
-    used.standard_normal(5)
-    used.integers(0, 7, size=3, dtype=np.uint32)  # leaves half a word buffered
-    module._seat(bit_generator, seed, restart_index)
-    assert np.array_equal(used.standard_normal((6, 3)), fresh)
-    expected = fresh / np.linalg.norm(fresh, axis=1, keepdims=True)
-    assert np.array_equal(random_measurement_set(6, seed, restart_index), expected)
+    # _start_sets reuses one bit generator, seated at the start of each
+    # index's stream; each set must be that of a fresh Generator(Philox(key=...)),
+    # whatever was drawn before it in the same call.
+    indices = [restart_index, 5, restart_index, 2**64 + 5, 0]
+    sets = sys.modules["shimony.seesaw"]._start_sets(6, seed, indices)
+    assert sets.shape == (len(indices), 6, 3)
+    for index, drawn in zip(indices, sets):
+        assert np.array_equal(drawn, _keyed_stream_set(6, seed, index))
+    assert np.array_equal(
+        random_measurement_set(6, seed, restart_index), _keyed_stream_set(6, seed, restart_index)
+    )
 
 
 @pytest.mark.parametrize("seed", [-3, 2**40])
 def test_multistart_start_sets_are_the_keyed_streams(monkeypatch, seed):
     module = sys.modules["shimony.seesaw"]
     drawn = []
-    unit_rows = module._unit_rows
+    start_sets = module._start_sets
 
-    def record(rng, n):
-        drawn.append(unit_rows(rng, n))
-        return drawn[-1]
+    def record(n, seed, indices):
+        drawn.append((list(indices), start_sets(n, seed, indices)))
+        return drawn[-1][1].copy()
 
-    monkeypatch.setattr(module, "_unit_rows", record)
+    monkeypatch.setattr(module, "_start_sets", record)
     multistart_seesaw(build_as_matrix(6), restarts=3, seed=seed, max_iter=1)
     monkeypatch.undo()
-    assert len(drawn) == 3
-    for index, start in enumerate(drawn):
-        assert np.array_equal(start, random_measurement_set(6, seed, index))
+    assert len(drawn) == 1
+    indices, starts = drawn[0]
+    assert indices == [0, 1, 2]
+    for index, start in zip(indices, starts):
+        assert np.array_equal(start, _keyed_stream_set(6, seed, index))
 
 
 def test_parameter_validation(monkeypatch):
@@ -165,8 +172,7 @@ def test_parameter_validation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a start set was drawn")
 
-    monkeypatch.setattr(sys.modules["shimony.seesaw"], "random_measurement_set", refuse)
-    monkeypatch.setattr(sys.modules["shimony.seesaw"], "_unit_rows", refuse)
+    monkeypatch.setattr(sys.modules["shimony.seesaw"], "_start_sets", refuse)
     with pytest.raises(ValueError, match="tol must be positive, got 0.0"):
         multistart_seesaw(m, tol=0.0)
     with pytest.raises(ValueError, match="tol must be positive, got -1e-09"):
