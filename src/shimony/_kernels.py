@@ -14,11 +14,11 @@ Three exact reductions keep the scan cheap without changing any result:
   a reduction over n entries instead of an n x n product.
 * Fewer bytes and fewer columns per assignment. Every table entry and score
   is bounded by n * max_i sum_j |m_ij|, so the scan runs in int16 when that
-  bound fits (every AS_n under the 24-setting cap), else in int64. When the
-  scan spans more than one block, a column with no entry in the low rows
-  scores |high[j, h]| whatever the low half is (and one with no entry in the
-  high rows |low[j, l]|): such columns are summed once into one nonnegative
-  row per table, and only the mixed columns and that row enter each block.
+  bound fits (every AS_n under the 24-setting cap), else in int64. A column
+  with no entry in the low rows scores |high[j, h]| whatever the low half is
+  (and one with no entry in the high rows |low[j, l]|): such columns are
+  summed once into one nonnegative row per table, and only the mixed columns
+  and that row enter each block.
 
 The sums stay exact integers. The steering bound does not enumerate: a sweep
 of one great circle per generator finds the O(n**2) vertices of a zonotope
@@ -95,12 +95,9 @@ def lhv_max(m: np.ndarray) -> tuple[int, int]:
     bound = n * int(np.abs(m).sum(axis=1).max())
     dtype = np.int16 if bound <= _INT16_MAX else np.int64
     high, low, lo = _halves(m)
-    step = max(1, _BLOCK_ASSIGNMENTS >> lo)
-    # Folding costs a few calls on small arrays, which a single block does
-    # not repay.
-    if high.shape[1] > step:
-        high, low = _fold_one_half_columns(m, high, low, lo)
+    high, low = _fold_one_half_columns(m, high, low, lo)
     high, low = high.astype(dtype), low.astype(dtype)
+    step = max(1, _BLOCK_ASSIGNMENTS >> lo)
     buf = np.empty((high.shape[0], min(step, high.shape[1]), low.shape[1]), dtype=dtype)
     best = -1
     best_index = 0

@@ -28,12 +28,14 @@ COLLINEARITY_TOL = 1e-9
 
 
 def unified_direction_set(n: int, angles) -> np.ndarray:
-    """Assemble the unified n-direction form from n-2 polar angles.
+    """Assemble the unified n-direction form (n >= 4) from n-2 polar angles.
 
     angles[0] is shared by the first two directions (x components +-Y),
     angles[1:] fill the y-z plane directions 3..n-1, and direction n is +x.
     """
     n = require_even_settings(n)
+    if n < 4:
+        raise ValueError(f"the unified form needs n >= 4 settings, got n={n}")
     angles = [float(t) for t in angles]
     if len(angles) != n - 2:
         raise ValueError(f"expected {n - 2} angles for n={n}, got {len(angles)}")

@@ -4,6 +4,33 @@ Measurement directions are unit vectors on the Bloch sphere; a two-qubit
 Werner state with visibility V gives the joint spin correlation
 E(a, b) = -V (a . b). The module also evaluates AS Bell functionals on
 direction sets and provides the closed-form quantum maximum.
+
+The maximum (N+1) sqrt(N(N+2)) / 3 holds for unit vectors u_i, v_j in any
+dimension, hence for every quantum state (Tsirelson, Lett. Math. Phys. 4,
+1980), by a dual point in closed form. Let N = 2M, T_k = k(k+1)/2, and let
+t hold T_M in its first M+1 entries, then T_{M-1}, ..., T_1. Then
+
+    AS_N diag(t)^-1 AS_N^T = (2/T_M) diag(t).
+
+Proof: row N+1-k of AS_N is k ones, then -s_k with s_k = min(k, N-k). With
+P_k = sum_{j<=k} 1/t_j, two rows with runs k < k' have product
+P_k - s_k/t_{k+1}, and row N+1-k has square P_k + s_k**2/t_{k+1}. For
+k <= M, P_k = k/T_M = s_k/t_{k+1}. For k = N - l with 0 < l < M,
+1/T_i = 2/i - 2/(i+1) telescopes P_k = (M+1)/T_M + sum_{l<i<M} 1/T_i to
+2/(l+1) = s_k/t_{k+1}. So every product vanishes, and row N+1-k has square
+(s_k + 1) P_k = 2 T_min(k,M) / T_M = 2 t_{N+1-k} / T_M (row 1, k = N, has
+s_N = 0 and P_N = 1 + 1/T_1 = 2).
+
+With y = sqrt(2/T_M) t, AS_N symmetric and the identity, the Schur
+complement of [[diag(y), -AS_N], [-AS_N, diag(y)]] is exactly 0, so that
+matrix is positive semidefinite, and its trace against the Gram matrix of
+the u_i and v_j gives sum_ij m_ij u_i . v_j <= sum_i y_i. The sum is the
+closed form, since sum_{k<M} T_k = (M-1)M(M+1)/6. With w = AS_N @ bob, the
+gap sum_i y_i - sum_i u_i . w_i is half of sum_i y_i |u_i - w_i/y_i|**2, so
+a Bob set reaches the maximum exactly when ||w_i|| = y_i for every row i.
+The tests check the identity in exact integers for every even N <= 100 and
+N = 300, the sum for every even N <= 300, and the row condition on the
+catalog sets.
 """
 
 from __future__ import annotations

@@ -34,10 +34,9 @@ from .matrices import (
 )
 from .quantum import DEGENERATE_DIRECTION, ZERO_RESULTANT_TOL, as_measurement_set
 
-# The oracle's least number of starting triangles, the triangle-generator products
-# it scores at once, the relative margin over its best lower end within which a
-# triangle is dropped, and a split triangle's children among (a, b, c, ab, bc, ca).
-ORACLE_GRID_SIZE = 16
+# The triangle-generator products the oracle scores at once, the relative margin
+# over its best lower end within which a triangle is dropped, and a split
+# triangle's children among (a, b, c, ab, bc, ca).
 _ORACLE_BLOCK_PRODUCTS = 2**18
 _ORACLE_PRUNE_TOL = 1e-12
 _CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
@@ -210,16 +209,12 @@ def _lhs_witness(w: np.ndarray) -> np.ndarray:
     flips = lengths[:, None] + 4 * squares - 4 * a * (r @ w.T) >= floor
     starts = np.concatenate((a, -a))
     flips = np.concatenate((flips, flips)) & (starts > 0)
-    # No start has two such rows to choose between, so the loop is skipped (a measured shortcut).
-    if flips.sum(axis=1).max() <= 1:
-        starts[flips] = -1.0
-    else:
-        r = np.concatenate((r, -r))
-        for k in np.flatnonzero(flips.any(axis=0)):
-            trial = r - 2 * w[k]
-            ok = flips[:, k] & (np.einsum("ij,ij->i", trial, trial) >= floor)
-            starts[ok, k] = -1.0
-            r[ok] = trial[ok]
+    r = np.concatenate((r, -r))
+    for k in np.flatnonzero(flips.any(axis=0)):
+        trial = r - 2 * w[k]
+        ok = flips[:, k] & (np.einsum("ij,ij->i", trial, trial) >= floor)
+        starts[ok, k] = -1.0
+        r[ok] = trial[ok]
     return starts[np.lexsort(starts.T[::-1])[0]].astype(np.int64)
 
 
@@ -260,9 +255,9 @@ def steering_lhs_bound_oracle(m, bob) -> float:
     gives C_LHS = max_{|v|=1} sum_i |w_i . v|, the zonotope's support
     function. A branch and bound over spherical triangles, as Hartley & Kahl
     (IJCV 82, 2009) search rotation space, maximizes it with nothing of the
-    sweep reused. The octahedron's faces are split into at least
-    ORACLE_GRID_SIZE triangles, each bounded on its circumscribed cap (centre
-    c, radius r): below by ||sign(w . c) @ w||, the norm of an assignment;
+    sweep reused. It starts from the octahedron's 8 faces, which cover the
+    sphere; each triangle is bounded on its circumscribed cap (centre c,
+    radius r): below by ||sign(w . c) @ w||, the norm of an assignment;
     above by |x| cos(max(0, angle(x, c) - r)) for the signed sum x of the
     generators whose great circle misses the cap, plus |w_i| sin(min(pi/2,
     asin|d_i . c| + r)) for each unit row d_i whose circle crosses it.
@@ -297,8 +292,7 @@ def steering_lhs_bound_oracle(m, bob) -> float:
             reach = np.where(crossing, np.sin(np.minimum(pi / 2, offsets + radius[:, None])), 0.0)
             fixed = np.linalg.norm(x, axis=1) * np.cos(np.maximum(0.0, angle - radius))
             upper[s : s + block] = fixed + reach @ lengths
-        split = (upper > best * (1 + _ORACLE_PRUNE_TOL)) | (len(triangles) < ORACLE_GRID_SIZE)
-        kept = triangles[split]
+        kept = triangles[upper > best * (1 + _ORACLE_PRUNE_TOL)]
         mids = kept + np.roll(kept, -1, axis=1)  # ab, bc, ca
         mids /= np.linalg.norm(mids, axis=2, keepdims=True)
         triangles = np.concatenate((kept, mids), axis=1)[:, _CHILDREN].reshape(-1, 3, 3)

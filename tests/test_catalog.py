@@ -60,6 +60,8 @@ def test_unified_structure(n):
 def test_unified_direction_set_angle_count():
     with pytest.raises(ValueError, match="expected 2 angles"):
         unified_direction_set(4, [0.1])
+    with pytest.raises(ValueError, match="n=2"):
+        unified_direction_set(2, [])
 
 
 def test_frozen_vectors_n4():

@@ -555,19 +555,35 @@ def test_verify_directions_json_bytes_pinned(capsys, n, expected, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-# The same for a Bob set read from a file (no paper figures), written from
-# random_measurement_set(40, 5).
+# The same for Bob sets read from a file (no paper figures): n=40 writes
+# random_measurement_set(40, 5) and n=10 a coplanar regular 10-gon, whose
+# sweep ties 21 candidates (8 sign patterns) and gives some starts two
+# flippable rows. The oracle's pins cover its search on sets beyond n=4.
 FILE_JSON_PINS = [
-    ("lhs", "63110f89d7586858858eb70d8523a8baa6ab1e36ea8eb41558e898c2c9929d3b"),
-    ("thresholds", "cb9dd50bd101f9e7763a9f8257d97fcac36936ebe6e7bbfd7d35ff025d00b7a3"),
+    (40, ("lhs",), "63110f89d7586858858eb70d8523a8baa6ab1e36ea8eb41558e898c2c9929d3b"),
+    (40, ("thresholds",), "cb9dd50bd101f9e7763a9f8257d97fcac36936ebe6e7bbfd7d35ff025d00b7a3"),
+    (40, ("lhs", "--oracle"), "9c342d24d6f663a7b8c191f1df30067b8eb5a7241c7293ca1fca52c5ebb017af"),
+    (10, ("lhs", "--oracle"), "c9c942a9198327760b699b246ec85bb6f79807786b4acc4421d8e25a413ee2ba"),
 ]
 
 
-@pytest.mark.parametrize("command, digest", FILE_JSON_PINS)
-def test_file_directions_json_bytes_pinned(tmp_path, capsys, command, digest):
-    path = tmp_path / "bob40.json"
-    path.write_text(json.dumps({"n": 40, "bob": random_measurement_set(40, 5).tolist()}))
-    code, out, _ = run_cli(capsys, command, "40", "--directions", str(path), "--format", "json")
+def _file_bob(n: int) -> np.ndarray:
+    if n == 40:
+        return random_measurement_set(40, 5)
+    t = 2 * np.pi * np.arange(n) / n
+    return np.stack([np.cos(t), np.sin(t), np.zeros(n)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "n, argv, digest",
+    FILE_JSON_PINS,
+    ids=[" ".join(argv) + ("" if n == 40 else f" {n}-gon") + f"-{d}" for n, argv, d in FILE_JSON_PINS],
+)
+def test_file_directions_json_bytes_pinned(tmp_path, capsys, n, argv, digest):
+    path = tmp_path / f"bob{n}.json"
+    path.write_text(json.dumps({"n": n, "bob": _file_bob(n).tolist()}))
+    command, *flags = argv
+    code, out, _ = run_cli(capsys, command, str(n), *flags, "--directions", str(path), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
@@ -642,7 +658,7 @@ def _run_fresh(script: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
 
 
-def test_scipy_loaded_only_by_the_oracle():
+def test_no_command_loads_scipy():
     # The package, every command and the oracle run on numpy alone: no scipy
     # module is ever loaded.
     script = """

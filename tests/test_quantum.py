@@ -1,5 +1,6 @@
 """Werner-state correlations and Bell values on Bloch directions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import random_rotation, random_unit_rows
-from shimony.catalog import catalog_directions
+from shimony.catalog import SUPPORTED_SETTINGS, catalog_directions
 from shimony.matrices import build_as_matrix
 from shimony.quantum import (
     SINGLET,
@@ -184,3 +185,62 @@ def test_sampled_values_never_exceed_closed_form(n):
         alice = random_unit_rows(rng, n)
         bob = random_unit_rows(rng, n)
         assert bell_quantum_value(m, alice, bob) <= bound
+
+
+def _dual_weights(n):
+    """t for AS_n, n = 2M: T_M in its first M+1 entries, then T_{M-1}, ..., T_1."""
+    m = n // 2
+    tri = [k * (k + 1) // 2 for k in range(m + 1)]
+    return [tri[m]] * (m + 1) + tri[m - 1 : 0 : -1]
+
+
+def _identity_holds(n, t):
+    """Whether AS_n diag(t)^-1 AS_n^T = (2/T_M) diag(t), in exact integers.
+
+    Both sides are scaled by D T_M, with D = lcm(t) and T_M = t[0]. Row i of
+    AS_n is a run of n - i ones, then -min(i, n - i) in column n - i. Of two
+    rows, the one with the shorter run is zero past that entry, so their
+    product is a prefix sum over the run plus that one entry.
+    """
+    d = math.lcm(*t)
+    inv = [d // x for x in t]
+    prefix = list(itertools.accumulate(inv, initial=0))
+    rows = [(n - i, -min(i, n - i)) for i in range(n)]
+
+    def entry(row, col):
+        run, last = row
+        return 1 if col < run else last if col == run else 0
+
+    for i, k in itertools.product(range(n), repeat=2):
+        (run, last), other = sorted((rows[i], rows[k]))
+        product = prefix[run] + (last * entry(other, run) * inv[run] if run < n else 0)
+        if product * t[0] != (2 * d * t[i] if i == k else 0):
+            return False
+    return True
+
+
+def test_dual_point_identity_in_exact_integers():
+    # The identity behind the quantum maximum's proof (see shimony.quantum).
+    for n in [*range(2, 101, 2), 300]:
+        assert _identity_holds(n, _dual_weights(n)), n
+    t = _dual_weights(10)
+    t[-2], t[-1] = t[-1], t[-2]
+    assert not _identity_holds(10, t)
+
+
+def test_dual_point_sums_to_the_closed_form():
+    for n in range(2, 301, 2):
+        t = _dual_weights(n)
+        total = math.fsum(math.sqrt(2 / t[0]) * x for x in t)
+        assert total == pytest.approx(max_quantum_closed_form(n), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SETTINGS)
+def test_catalog_sets_meet_the_row_condition(n):
+    # A Bob set reaches the maximum exactly when ||(AS_n b)_i|| = y_i for
+    # every row i, with y = sqrt(2/T_M) t.
+    entry = catalog_directions(n)
+    t = np.array(_dual_weights(n), dtype=float)
+    y = np.sqrt(2 / t[0]) * t
+    norms = np.linalg.norm(build_as_matrix(n) @ entry.bob_directions, axis=1)
+    assert np.all(np.abs(norms - y) <= entry.tolerance * y)

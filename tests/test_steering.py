@@ -76,8 +76,9 @@ def test_oracle_agrees_on_random_directions(n):
 
 @pytest.mark.parametrize("n", [8, 10])
 def test_oracle_agrees_at_non_power_of_two_grids(n):
-    # ORACLE_GRID_SIZE = 16 is the least number of starting triangles, so the
-    # search starts from 32 of them, not a power of four.
+    # The search starts from the octahedron's 8 faces and splits only the
+    # triangles that survive pruning, so its rounds need not hold a power of
+    # four triangles.
     m = build_as_matrix(n)
     bob = catalog_directions(n).bob_directions
     fast = steering_lhs_bound(m, bob).value
