@@ -29,12 +29,16 @@ def _respond(resultants: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Works on (..., n, 3) stacks. The value sum_i ||r_i|| of each (n, 3) set is
     the Bell value after the responding party updates (degenerate rows
-    contribute their ~0 norm).
+    contribute their ~0 norm). The directions overwrite `resultants`, so
+    callers pass a fresh product. Each norm sums its squares left to right,
+    as np.linalg.norm(axis=-1) reduces a length-3 axis, so it equals that
+    norm bit for bit without numpy's row-by-row reduction.
     """
-    norms = np.linalg.norm(resultants, axis=-1)
+    x, y, z = resultants[..., 0], resultants[..., 1], resultants[..., 2]
+    norms = np.sqrt(x * x + y * y + z * z)
     degenerate = norms < ZERO_RESULTANT_TOL
-    safe = np.where(degenerate, 1.0, norms)
-    directions = -resultants / safe[..., None]
+    directions = np.negative(resultants, out=resultants)
+    directions /= np.where(degenerate, 1.0, norms)[..., None]
     directions[degenerate] = DEGENERATE_DIRECTION
     return directions, norms.sum(axis=-1)
 

@@ -499,6 +499,17 @@ SEESAW_JSON_PINS = [
         [20, 146.8119386, 146.8332387, 0.02130019097, 3, False, 8],
         "9cd2e48803249b62e26c2f848961da4efaf6e6d1776cdbfb6ec11991869ef008",
     ),
+    # The benchmark's warm see-saw requests, past the serial reference's n = 30.
+    (
+        ("seesaw", "80", "--restarts", "128", "--seed", "5", "--format", "json"),
+        [80, 2186.833327, 2186.833327, 0.0, 21, True, 0],
+        "9923da1182668b7bc26e7bf2dc35308598681951f027d7f6799b6b1d0494e6d8",
+    ),
+    (
+        ("seesaw", "40", "--restarts", "128", "--seed", "5", "--format", "json"),
+        [40, 560.1666419, 560.1666419, 0.0, 21, True, 2],
+        "46c1149d2907d9b79c2a427c2941ea82aff28d5e3e163fb5eb5ac3fbddae87ec",
+    ),
 ]
 
 

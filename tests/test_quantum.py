@@ -22,7 +22,7 @@ from shimony.quantum import (
     correlation_density_matrix,
     max_quantum_closed_form,
 )
-from shimony.seesaw import alice_best_response
+from shimony.seesaw import alice_best_response, multistart_seesaw
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -244,3 +244,18 @@ def test_catalog_sets_meet_the_row_condition(n):
     y = np.sqrt(2 / t[0]) * t
     norms = np.linalg.norm(build_as_matrix(n) @ entry.bob_directions, axis=1)
     assert np.all(np.abs(norms - y) <= entry.tolerance * y)
+
+
+@pytest.mark.parametrize("n, restarts", [(12, 8), (20, 8), (40, 6), (80, 4), (160, 4)])
+def test_seesaw_never_exceeds_the_proved_maximum(n, restarts):
+    # Past the catalog, a see-saw value does not exceed sum_i y_i, the closed
+    # form, beyond rounding, and a converged Bob set meets the row condition
+    # ||(AS_n b)_i|| = y_i.
+    t = np.array(_dual_weights(n), dtype=float)
+    y = np.sqrt(2 / t[0]) * t
+    m = build_as_matrix(n)
+    result = multistart_seesaw(m, restarts=restarts, seed=n)
+    assert result.value <= max_quantum_closed_form(n) * (1 + 1e-12)
+    assert result.converged
+    norms = np.linalg.norm(m @ result.bob, axis=1)
+    assert np.all(np.abs(norms - y) <= 1e-6 * y)

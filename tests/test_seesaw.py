@@ -8,9 +8,10 @@ import pytest
 
 from shimony.catalog import catalog_directions
 from shimony.matrices import build_as_matrix
-from shimony.quantum import bell_quantum_value, max_quantum_closed_form
+from shimony.quantum import ZERO_RESULTANT_TOL, bell_quantum_value, max_quantum_closed_form
 from shimony.seesaw import (
     DEFAULT_TOL,
+    _respond,
     alice_best_response,
     bob_best_response,
     multistart_seesaw,
@@ -191,24 +192,25 @@ def test_bob_fixed_point_reproduces_maximum():
     assert np.allclose(rebuilt, result.bob, atol=1e-6)
 
 
+def _reference_respond(resultants):
+    """The best response to an (n, 3) resultant set, with np.linalg.norm."""
+    norms = np.linalg.norm(resultants, axis=1)
+    degenerate = norms < 1e-12
+    directions = -resultants / np.where(degenerate, 1.0, norms)[:, None]
+    directions[degenerate] = [0.0, 0.0, 1.0]
+    return directions, float(norms.sum())
+
+
 def _serial_seesaw(m, start, tol, max_iter):
     """One see-saw run written as a plain 2-D loop, independent of the library."""
     mf = m.astype(np.float64)
-
-    def respond(resultants):
-        norms = np.linalg.norm(resultants, axis=1)
-        degenerate = norms < 1e-12
-        directions = -resultants / np.where(degenerate, 1.0, norms)[:, None]
-        directions[degenerate] = [0.0, 0.0, 1.0]
-        return directions, float(norms.sum())
-
     bob = start / np.linalg.norm(start, axis=1, keepdims=True)
-    alice, value = respond(mf @ bob)
+    alice, value = _reference_respond(mf @ bob)
     trajectory = [value]
     converged = False
     for iterations in range(1, max_iter + 1):
-        bob, bob_value = respond(mf.T @ alice)
-        alice, new_value = respond(mf @ bob)
+        bob, bob_value = _reference_respond(mf.T @ alice)
+        alice, new_value = _reference_respond(mf @ bob)
         trajectory += [bob_value, new_value]
         improvement = new_value - value
         value = new_value
@@ -274,3 +276,68 @@ def test_multistart_matches_serial_reference_bitwise(m, restarts, seed, max_iter
         assert np.array_equal(single.alice, run[1])
         assert np.array_equal(single.bob, run[2])
         assert single.trajectory == run[5]
+
+
+# Resultant rows that probe the half-step's norms: zero, exactly the
+# degenerate threshold and just below it, squares that overflow and large
+# finite ones, and three rows whose norm rounds differently unless the squares
+# are summed left to right.
+_PROBE_ROWS = np.array(
+    [
+        [0.0, 0.0, 0.0],
+        [ZERO_RESULTANT_TOL, 0.0, 0.0],
+        [0.0, np.nextafter(ZERO_RESULTANT_TOL, 0.0), 0.0],
+        [1e200, -1e200, 1e200],
+        [3e150, 0.0, -4e150],
+        [0.015331917608330376, -0.000725449409051104, -0.0008131168425559788],
+        [-0.0060539658202155055, 0.0004908374708464368, -0.0013300035168236565],
+        [-0.04415654719176222, 0.001803076073861653, -0.0015064533739855355],
+    ]
+)
+
+
+def test_probe_rows_tell_summation_orders_apart():
+    squares = _PROBE_ROWS[-3:] ** 2
+    left_to_right = np.sqrt((squares[:, 0] + squares[:, 1]) + squares[:, 2])
+    right_to_left = np.sqrt(squares[:, 0] + (squares[:, 1] + squares[:, 2]))
+    x_then_z = np.sqrt((squares[:, 0] + squares[:, 2]) + squares[:, 1])
+    assert np.all(right_to_left != left_to_right)
+    assert np.all(x_then_z != left_to_right)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 3), (2, 3), (7, 3), (300, 3), (1, 80, 3), (5, 2, 3), (128, 80, 3)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_respond_matches_reference_bitwise(shape):
+    # The half-step's norms must equal np.linalg.norm's bit for bit; a numpy
+    # that reduces the length-3 axis in another order fails here.
+    rng = np.random.default_rng(shape[0] * 1000 + shape[-2])
+    scales = 10.0 ** rng.integers(-8, 9, size=(*shape[:-1], 1))
+    for offset in range(len(_PROBE_ROWS)):
+        stack = rng.standard_normal(shape) * scales
+        rows = stack.reshape(-1, 3)
+        count = min(len(rows), len(_PROBE_ROWS))
+        rows[:count] = np.roll(_PROBE_ROWS, -offset, axis=0)[:count]
+        with np.errstate(over="ignore"):
+            directions, values = _respond(stack.copy())
+            reference = [_reference_respond(s) for s in stack.reshape(-1, *shape[-2:])]
+        expected = np.stack([d for d, _ in reference]).reshape(shape)
+        assert directions.tobytes() == expected.tobytes()
+        assert values.shape == shape[:-2]
+        assert values.tobytes() == np.array([v for _, v in reference]).tobytes()
+
+
+def test_best_responses_leave_their_arguments_unchanged():
+    # The half-step writes into the product it is given, never into m or the
+    # fixed party's directions.
+    directions = random_measurement_set(6, 22)
+    directions[1] = directions[0]  # AS_6 @ directions gets a zero last row
+    for m in (build_as_matrix(6), build_as_matrix(6).astype(np.float64)):
+        for response in (alice_best_response, bob_best_response):
+            m_before, directions_before = m.copy(), directions.copy()
+            response(m, directions)
+            assert m.tobytes() == m_before.tobytes()
+            assert directions.tobytes() == directions_before.tobytes()
+    assert np.array_equal(alice_best_response(build_as_matrix(6), directions)[-1], Z)
