@@ -19,10 +19,6 @@ Three exact reductions keep the scan cheap without changing any result:
   (and one with no entry in the high rows |low[j, l]|): such columns are
   summed once into one nonnegative row per table, and only the mixed columns
   and that row enter each block.
-
-The sums stay exact integers. The steering bound does not enumerate: a sweep
-of one great circle per generator finds the O(n**2) vertices of a zonotope
-(`steering._sweep_candidates`), and only those are scored.
 """
 
 from __future__ import annotations

@@ -44,8 +44,7 @@ def unified_direction_set(n: int, angles) -> np.ndarray:
     out = np.zeros((n, 3))
     out[0] = (y, s * sin(angles[0]), s * cos(angles[0]))
     out[1] = (-y, s * sin(angles[0]), s * cos(angles[0]))
-    for row in range(2, n - 1):
-        out[row] = (0.0, sin(angles[row - 1]), cos(angles[row - 1]))
+    out[2 : n - 1] = _yz_direction_set(angles[1:])
     out[n - 1] = (1.0, 0.0, 0.0)
     return out
 
@@ -312,17 +311,14 @@ class VerificationReport:
 
 
 def _collinear_pairs(directions: np.ndarray, label: str) -> list[str]:
-    found = []
-    for i in range(len(directions)):
-        for j in range(i + 1, len(directions)):
-            overlap = float(directions[i] @ directions[j])
-            if abs(overlap) > 1.0 - COLLINEARITY_TOL:
-                kind = "antiparallel" if overlap < 0 else "parallel"
-                found.append(
-                    f"{label} directions {i + 1} and {j + 1} are {kind}; "
-                    "the set cannot span the settings independently"
-                )
-    return found
+    overlaps = directions @ directions.T
+    pairs = np.nonzero(np.triu(np.abs(overlaps) > 1.0 - COLLINEARITY_TOL, 1))
+    return [
+        f"{label} directions {i + 1} and {j + 1} are "
+        f"{'antiparallel' if overlaps[i, j] < 0 else 'parallel'}; "
+        "the set cannot span the settings independently"
+        for i, j in zip(*pairs)
+    ]
 
 
 def verify_directions(entry: DirectionCatalogEntry) -> VerificationReport:

@@ -218,6 +218,15 @@ def _lhs_witness(w: np.ndarray) -> np.ndarray:
     return starts[np.lexsort(starts.T[::-1])[0]].astype(np.int64)
 
 
+def _generators(m, bob) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validated m and bob, the generators w = m @ bob and the row norms of w."""
+    m = as_coefficient_matrix(m)
+    bob = as_measurement_set(bob, len(m))
+    require_steering_size(len(m))
+    w = m.astype(np.float64) @ bob
+    return m, bob, w, np.linalg.norm(w, axis=1)
+
+
 def steering_lhs_bound(m, bob) -> SteeringBoundResult:
     """Exact LHS bound over fixed Bob directions, from the zonotope's vertices.
 
@@ -226,25 +235,18 @@ def steering_lhs_bound(m, bob) -> SteeringBoundResult:
     witness's integer column sums, so it does not depend on how the
     candidates' resultants were summed.
     """
-    m = as_coefficient_matrix(m)
-    n = m.shape[0]
-    bob = as_measurement_set(bob, n)
-    require_steering_size(n)
-    w = m.astype(np.float64) @ bob
+    m, bob, w, norms = _generators(m, bob)
     alice = _lhs_witness(w)
     column_sums = alice @ m
     resultant = column_sums.astype(np.float64) @ bob
     norm = float(np.linalg.norm(resultant))
-    if norm < ZERO_RESULTANT_TOL:
-        direction = DEGENERATE_DIRECTION.copy()
-    else:
-        direction = resultant / norm
+    direction = DEGENERATE_DIRECTION.copy() if norm < ZERO_RESULTANT_TOL else resultant / norm
     return SteeringBoundResult(
         value=norm,
         alice_witness=alice,
         bob_state_direction=direction,
         column_sums=column_sums,
-        quantum_value=float(np.linalg.norm(w, axis=1).sum()),
+        quantum_value=float(norms.sum()),
     )
 
 
@@ -255,7 +257,7 @@ def steering_lhs_bound_oracle(m, bob) -> float:
     gives C_LHS = max_{|v|=1} sum_i |w_i . v|, the zonotope's support
     function. A branch and bound over spherical triangles, as Hartley & Kahl
     (IJCV 82, 2009) search rotation space, maximizes it with nothing of the
-    sweep reused. It starts from the octahedron's 8 faces, which cover the
+    sweep's search. It starts from the octahedron's 8 faces, which cover the
     sphere; each triangle is bounded on its circumscribed cap (centre c,
     radius r): below by ||sign(w . c) @ w||, the norm of an assignment;
     above by |x| cos(max(0, angle(x, c) - r)) for the signed sum x of the
@@ -265,13 +267,10 @@ def steering_lhs_bound_oracle(m, bob) -> float:
     are dropped and the rest split four ways. A cap that no circle crosses
     has equal ends, so the search ends within 1e-12 of C_LHS, relative.
     """
-    m = as_coefficient_matrix(m)
-    n = m.shape[0]
-    bob = as_measurement_set(bob, n)
-    require_steering_size(n)
-    w = m.astype(np.float64) @ bob
-    w = w[w.any(axis=1)]
-    lengths = np.linalg.norm(w, axis=1)
+    _, _, w, lengths = _generators(m, bob)
+    # The rows kept are those _lhs_witness does not set to -1: a norm and a sum of
+    # squares are both 0 exactly when every component's square rounds to 0.
+    w, lengths = w[lengths > 0], lengths[lengths > 0]
     block = _ORACLE_BLOCK_PRODUCTS // max(1, len(w))
     triangles, best = _OCTAHEDRON, 0.0
     while len(triangles):

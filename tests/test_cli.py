@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import underflow_bob_set
 from shimony import cli
 from shimony.catalog import catalog_directions, entry_to_dict, verify_directions
 from shimony.output import OutputDocument, round_sig
@@ -283,6 +284,24 @@ def test_lhs_directions_non_finite_exits_2(tmp_path, text, fragment):
     assert proc.stderr.startswith(f"error: {path}: ")
     assert fragment in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_lhs_oracle_with_warnings_as_errors_on_a_row_whose_squares_underflow(tmp_path):
+    # AS_40's last row of m @ bob is (0, 1e-300, 0), whose norm is 0.
+    path = tmp_path / "under40.json"
+    bob = underflow_bob_set(np.random.default_rng(40), 40)
+    path.write_text(json.dumps({"n": 40, "bob": bob.tolist()}))
+    argv = ["lhs", "40", "--directions", str(path), "--oracle", "--format", "csv"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "shimony.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    header, row = [line.split(",") for line in proc.stdout.splitlines() if not line.startswith("#")]
+    cells = dict(zip(header, row))
+    c_lhs, oracle = float(cells["c_lhs"]), float(cells["c_lhs_oracle"])
+    assert abs(c_lhs - oracle) <= 1e-9 * c_lhs
+    assert cells["witness"].split()[-1] == "-1"
 
 
 def test_lhs_directions_wrong_order(tmp_path, capsys):

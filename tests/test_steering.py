@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_rotation, random_unit_rows
+from helpers import random_rotation, random_unit_rows, underflow_bob_set
 from shimony.catalog import catalog_directions
 from shimony.matrices import (
     MAX_STEERING_SETTINGS,
@@ -335,6 +335,20 @@ def test_bound_beyond_the_enumeration_cap_matches_the_oracle(n):
     # The last set, zero-plus-tiny, gives a zero last row, which takes -1.
     assert not (m[-1] @ bob).any() and np.linalg.norm(m[-2] @ bob) < 1e-12
     assert result.alice_witness[-1] == -1
+
+
+@pytest.mark.parametrize("n", [2, 40, MAX_STEERING_SETTINGS])
+def test_oracle_drops_rows_whose_squares_underflow(n):
+    # The oracle and the witness drop the same zero rows: a row counts as
+    # zero when its squares sum to 0, even if an entry is not 0. pyproject
+    # turns a RuntimeWarning, such as a division by a zero norm, into a failure.
+    m = build_as_matrix(n)
+    bob = underflow_bob_set(np.random.default_rng(n), n)
+    last = m[-1] @ bob
+    assert last.any() and last @ last == 0
+    result = steering_lhs_bound(m, bob)
+    assert result.alice_witness[-1] == -1
+    assert steering_lhs_bound_oracle(m, bob) == pytest.approx(result.value, rel=1e-12)
 
 
 def test_oracle_on_lattice_directions_with_rows_of_mixed_scale():
