@@ -89,7 +89,9 @@ def _merge_parallel(d: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     # |cos| > 0.999 is a safe prefilter: parallel rows reach 1 - 1e-16.
     near = np.abs(d @ d.T) > 0.999
     if np.count_nonzero(near) == len(d):
-        return None  # the common case; always merging makes a steering call 1.2-1.9x as long
+        # The common case: leaving it to the parallel test below, which also
+        # returns None, makes a steering call 1.3-1.4x as long.
+        return None
     i, j = np.nonzero(np.triu(near, 1))
     cross = np.cross(d[i], d[j])
     parallel = np.einsum("pr,pr->p", cross, cross) <= _DEGENERATE_SINE**2

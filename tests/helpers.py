@@ -27,3 +27,9 @@ def underflow_bob_set(rng, n: int) -> np.ndarray:
     bob[0] = (1.0, 1e-300, 0.0)
     bob[1] = (1.0, 0.0, 0.0)
     return bob
+
+
+def regular_polygon_set(n: int) -> np.ndarray:
+    """A coplanar regular n-gon of unit rows in the xy plane, drawing no random numbers."""
+    t = 2 * np.pi * np.arange(n) / n
+    return np.stack([np.cos(t), np.sin(t), np.zeros(n)], axis=1)

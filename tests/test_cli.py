@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import underflow_bob_set
+from helpers import random_unit_rows, regular_polygon_set, underflow_bob_set
 from shimony import cli
 from shimony.catalog import catalog_directions, entry_to_dict, verify_directions
 from shimony.output import OutputDocument, round_sig
@@ -48,6 +48,7 @@ def test_invalid_n_exits_2(capsys):
     assert "even integer" in err
 
 
+@pytest.mark.filterwarnings("error")
 def test_bounds(capsys):
     code, out, _ = run_cli(capsys, "bounds", "6", "--format", "json")
     assert code == 0
@@ -62,6 +63,12 @@ def test_bounds(capsys):
     row = dict(zip(columns, doc["tables"][0]["rows"][0]))
     assert row["c_lhv_bruteforce"] == 12
     assert row["alice_witness"] == "-1 -1 -1 -1 -1 -1"
+
+    # The largest scan under the cap, 2**24 assignments.
+    code, out, _ = run_cli(capsys, "bounds", "24", "--bruteforce", "--format", "csv")
+    assert code == 0
+    witness = " ".join(["-1"] * 24)
+    assert out.splitlines()[1] == f"24,156,156,{witness},{witness}"
 
 
 def test_bounds_resource_cap_exits_4(capsys):
@@ -118,8 +125,7 @@ def test_caps_refuse_before_the_matrix_is_built(tmp_path, capsys, monkeypatch, a
 def test_lhs_beyond_the_enumeration_cap(tmp_path, capsys):
     # The steering bound is polynomial: n = 40 runs, and agrees with the oracle.
     n = 40
-    bob = np.random.default_rng(40).standard_normal((n, 3))
-    bob /= np.linalg.norm(bob, axis=1, keepdims=True)
+    bob = random_unit_rows(np.random.default_rng(n), n)
     path = tmp_path / "bob40.json"
     path.write_text(json.dumps({"n": n, "bob": bob.tolist()}))
     argv = ["lhs", str(n), "--directions", str(path), "--oracle", "--format", "json"]
@@ -145,12 +151,14 @@ def _threshold_cells(out: str, fmt: str) -> dict:
 
 
 @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
-@pytest.mark.parametrize("n", [26, 40])
+@pytest.mark.parametrize(
+    "n", [26, 40, pytest.param(300, marks=pytest.mark.filterwarnings("error"))]
+)
 def test_thresholds_beyond_the_enumeration_cap(tmp_path, capsys, n, fmt):
     # C_LHV of AS_n is the closed form at any order, so thresholds runs up to
-    # the steering cap; its c_lhs is the lhs command's, cell for cell.
-    bob = np.random.default_rng(n).standard_normal((n, 3))
-    bob /= np.linalg.norm(bob, axis=1, keepdims=True)
+    # the steering cap (C_LHV = 22650 at n = 300); its c_lhs is the lhs
+    # command's, cell for cell.
+    bob = random_unit_rows(np.random.default_rng(n), n)
     path = tmp_path / f"bob{n}.json"
     path.write_text(json.dumps({"n": n, "bob": bob.tolist()}))
     code, out, _ = run_cli(capsys, "thresholds", str(n), "--directions", str(path), "--format", fmt)
@@ -264,19 +272,31 @@ _BOB_WITH = '{"n": 4, "bob": [[0, 0, 1], [1, 0, 0], [%s, 0, 0], [0, 1, 0]]}'
 
 
 @pytest.mark.parametrize(
-    "text, fragment",
+    "n, text, fragment",
     [
-        pytest.param(_BOB_WITH % "NaN", "bob[2]", id="NaN"),
-        pytest.param(_BOB_WITH % "Infinity", "bob[2]", id="Infinity"),
-        pytest.param(_BOB_WITH % "1e308", "bob[2]", id="1e308"),
-        pytest.param("[" * 5000 + "]" * 5000, "invalid JSON", id="nested"),
+        pytest.param(4, _BOB_WITH % "NaN", "bob[2]", id="NaN"),
+        pytest.param(4, _BOB_WITH % "Infinity", "bob[2]", id="Infinity"),
+        pytest.param(4, _BOB_WITH % "1e308", "bob[2]", id="1e308"),
+        pytest.param(4, "[" * 5000 + "]" * 5000, "invalid JSON", id="nested"),
+        pytest.param(
+            2,
+            '{"n": 2, "bob": [[1' + "0" * 400 + ', 0, 0], [0, 0, 1]]}',
+            "bob[0][0] is too large for a float",
+            id="bigint",
+        ),
+        pytest.param(
+            2,
+            '{"n": 2, "bob": [[1e308, 1e308, 0], [0, 0, 1]]}',
+            "bob[0] must be unit length within 1e-09, got norm inf",
+            id="huge",
+        ),
     ],
 )
-def test_lhs_directions_non_finite_exits_2(tmp_path, text, fragment):
+def test_lhs_directions_non_finite_exits_2(tmp_path, n, text, fragment):
     path = tmp_path / "nonfinite.json"
     path.write_text(text)
     proc = subprocess.run(
-        [sys.executable, "-m", "shimony.cli", "lhs", "4", "--directions", str(path)],
+        [sys.executable, "-m", "shimony.cli", "lhs", str(n), "--directions", str(path)],
         capture_output=True,
         text=True,
     )
@@ -284,6 +304,7 @@ def test_lhs_directions_non_finite_exits_2(tmp_path, text, fragment):
     assert proc.stderr.startswith(f"error: {path}: ")
     assert fragment in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_lhs_oracle_with_warnings_as_errors_on_a_row_whose_squares_underflow(tmp_path):
@@ -598,10 +619,7 @@ FILE_JSON_PINS = [
 
 
 def _file_bob(n: int) -> np.ndarray:
-    if n == 40:
-        return random_measurement_set(40, 5)
-    t = 2 * np.pi * np.arange(n) / n
-    return np.stack([np.cos(t), np.sin(t), np.zeros(n)], axis=1)
+    return random_measurement_set(40, 5) if n == 40 else regular_polygon_set(n)
 
 
 @pytest.mark.parametrize(
@@ -626,6 +644,13 @@ def test_verify_directions_exit_codes(capsys, n, expected):
     assert doc["metadata"]["passed"] is (expected == 0)
     if n in (2, 4):
         assert doc["anomalies"]
+    # Every row of the CSV table carries the order's tolerance: n = 10's
+    # angles are tabulated to 4-5 decimal places.
+    tolerance = "0.001" if n == 10 else "1e-06"
+    code, out, _ = run_cli(capsys, "verify-directions", str(n), "--format", "csv")
+    assert code == expected
+    header, *rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    assert rows and {dict(zip(header, row))["tolerance"] for row in rows} == {tolerance}
 
 
 def test_verify_directions_4_reports_witness(capsys):

@@ -246,16 +246,28 @@ def test_catalog_sets_meet_the_row_condition(n):
     assert np.all(np.abs(norms - y) <= entry.tolerance * y)
 
 
-@pytest.mark.parametrize("n, restarts", [(12, 8), (20, 8), (40, 6), (80, 4), (160, 4)])
+@pytest.mark.parametrize(
+    "n, restarts",
+    [
+        (12, 8),
+        (20, 8),
+        (40, 6),
+        (80, 4),
+        (160, 4),
+        pytest.param(300, 8, marks=pytest.mark.filterwarnings("error")),
+    ],
+)
 def test_seesaw_never_exceeds_the_proved_maximum(n, restarts):
     # Past the catalog, a see-saw value does not exceed sum_i y_i, the closed
-    # form, beyond rounding, and a converged Bob set meets the row condition
-    # ||(AS_n b)_i|| = y_i.
+    # form, beyond rounding, comes within 1e-9 of it, and a converged Bob set
+    # meets the row condition ||(AS_n b)_i|| = y_i.
     t = np.array(_dual_weights(n), dtype=float)
     y = np.sqrt(2 / t[0]) * t
     m = build_as_matrix(n)
     result = multistart_seesaw(m, restarts=restarts, seed=n)
-    assert result.value <= max_quantum_closed_form(n) * (1 + 1e-12)
+    closed = max_quantum_closed_form(n)
+    assert result.value <= closed * (1 + 1e-12)
+    assert closed - result.value <= 1e-9 * closed
     assert result.converged
     norms = np.linalg.norm(m @ result.bob, axis=1)
     assert np.all(np.abs(norms - y) <= 1e-6 * y)
