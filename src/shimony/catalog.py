@@ -216,18 +216,6 @@ def reference_notes(entry: DirectionCatalogEntry, c_lhs: float, quantum_max: flo
     ]
 
 
-def entry_to_dict(entry: DirectionCatalogEntry) -> dict:
-    """JSON-ready view of an entry: {n, bob, alice, notes}."""
-    return {
-        "n": entry.n,
-        "bob": [[float(x) for x in row] for row in entry.bob_directions],
-        "alice": None
-        if entry.alice_directions is None
-        else [[float(x) for x in row] for row in entry.alice_directions],
-        "notes": entry.notes,
-    }
-
-
 def _direction_rows(data, key: str, n: int) -> np.ndarray:
     rows = data[key]
     if not isinstance(rows, list) or len(rows) != n:

@@ -159,23 +159,16 @@ def _start_sets(n: int, seed: int, indices: Sequence[int]) -> np.ndarray:
     Generator(Philox(key=(seed mod 2**64) << 64 | (indices[k] mod 2**64))),
     each row normalized, so every (seed, restart) pair owns an independent
     reproducible stream regardless of how restarts are scheduled. One bit
-    generator is put at the start of each stream in turn.
+    generator is seated at the start of each stream in turn: its own fresh
+    state (counter 0, empty buffer), rekeyed per restart.
     """
     rng = np.random.Generator(np.random.Philox(key=0))
+    fresh = rng.bit_generator.state
     high = int(seed) % (1 << 64)
     sets = np.empty((len(indices), n, 3))
     for k, index in enumerate(indices):
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([int(index) % (1 << 64), high], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        fresh["state"]["key"] = np.array([int(index) % (1 << 64), high], dtype=np.uint64)
+        rng.bit_generator.state = fresh
         rng.standard_normal(out=sets[k])
     return sets / np.linalg.norm(sets, axis=-1, keepdims=True)
 
@@ -213,11 +206,8 @@ def multistart_seesaw(
     best: OptimizationResult | None = None
     for first in range(0, restarts, _RESTART_GROUP):
         indices = range(first, min(first + _RESTART_GROUP, restarts))
-        # Renormalized with the arithmetic `as_measurement_set` applies to the
-        # start set of `seesaw`, so each restart matches `seesaw` bit for bit.
-        starts = _start_sets(n, seed, indices)
-        starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
-        result = _best_run(mf, starts, tol, max_iter, record_trajectory, first)
+        starts = as_measurement_set(_start_sets(n, seed, indices).reshape(-1, 3))
+        result = _best_run(mf, starts.reshape(-1, n, 3), tol, max_iter, record_trajectory, first)
         if best is None or result.value > best.value:
             best = result
     assert best is not None

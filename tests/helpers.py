@@ -33,3 +33,15 @@ def regular_polygon_set(n: int) -> np.ndarray:
     """A coplanar regular n-gon of unit rows in the xy plane, drawing no random numbers."""
     t = 2 * np.pi * np.arange(n) / n
     return np.stack([np.cos(t), np.sin(t), np.zeros(n)], axis=1)
+
+
+def entry_to_dict(entry) -> dict:
+    """JSON-ready view of a catalog entry: {n, bob, alice, notes}."""
+    return {
+        "n": entry.n,
+        "bob": [[float(x) for x in row] for row in entry.bob_directions],
+        "alice": None
+        if entry.alice_directions is None
+        else [[float(x) for x in row] for row in entry.alice_directions],
+        "notes": entry.notes,
+    }

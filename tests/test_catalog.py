@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import entry_to_dict
 from shimony.catalog import (
     SUPPORTED_SETTINGS,
     catalog_directions,
     directions_from_dict,
-    entry_to_dict,
     load_directions_file,
     unified_direction_set,
     verify_directions,

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_unit_rows, regular_polygon_set, underflow_bob_set
+from helpers import entry_to_dict, random_unit_rows, regular_polygon_set, underflow_bob_set
 from shimony import cli
-from shimony.catalog import catalog_directions, entry_to_dict, verify_directions
+from shimony.catalog import catalog_directions, verify_directions
 from shimony.output import OutputDocument, round_sig
 from shimony.seesaw import random_measurement_set
 from shimony.steering import visibility_lhv_closed_form

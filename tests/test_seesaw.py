@@ -241,6 +241,7 @@ def _random_matrix_with_zero_row(n, seed):
         (_random_matrix_with_zero_row(5, 8), 16, 8, 10_000),
         (_random_matrix_with_zero_row(9, 9), 16, 9, 10_000),
         (_random_matrix_with_zero_row(9, 10), 16, 10, 3),
+        (build_as_matrix(6), 300, 10, 3),
     ],
 )
 def test_multistart_matches_serial_reference_bitwise(m, restarts, seed, max_iter):
