@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import acos, asin, cos, pi, sin, sqrt
 
 import numpy as np
@@ -164,8 +165,11 @@ SUPPORTED_SETTINGS = tuple(_ORDERS)
 class DirectionCatalogEntry:
     """Direction sets for one catalog order, with the paper's figures for it.
 
-    `alice_directions` is None where the tabulated data does not fully
-    determine Alice (she is then reconstructed by best response on demand).
+    Each order's entry is shared, read-only: `catalog_directions` builds it
+    once per process, and every array in it refuses writes (copy one to
+    change it). `alice_directions` is None where the tabulated data does not
+    fully determine Alice (she is then reconstructed by best response on
+    demand).
     `tolerance` is the deviation from the quantum maximum that
     `verify_directions` accepts, and `c_lhs_reference` and `v_lhs_reference`
     are the tabulated C_LHS and V_LHS as (label, value). The n=2 entry
@@ -185,21 +189,32 @@ class DirectionCatalogEntry:
 
 
 def catalog_directions(n: int) -> DirectionCatalogEntry:
-    """Return the tabulated direction entry for n in SUPPORTED_SETTINGS."""
+    """Return the shared, read-only direction entry for n in SUPPORTED_SETTINGS."""
     n = require_even_settings(n)
     if n not in _ORDERS:
         raise ValueError(
             f"no tabulated directions for n={n}; supported orders are "
             f"{', '.join(str(k) for k in SUPPORTED_SETTINGS)}"
         )
+    return _catalog_entry(n)
+
+
+@lru_cache(maxsize=None)
+def _catalog_entry(n: int) -> DirectionCatalogEntry:
+    """Order n's entry, built once per process with every array read-only."""
     angles, *figures = _ORDERS[n]
     thetas, phis = angles()
     if n == 2:  # the tabulated pairs are degenerate; the canonical pair stands in
         canonical = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         tabulated = _yz_direction_set(thetas), _yz_direction_set(phis)
-        return DirectionCatalogEntry(2, canonical, None, *figures, *tabulated)
-    alice = None if phis is None else unified_direction_set(n, phis)
-    return DirectionCatalogEntry(n, unified_direction_set(n, thetas), alice, *figures)
+        entry = DirectionCatalogEntry(2, canonical, None, *figures, *tabulated)
+    else:
+        alice = None if phis is None else unified_direction_set(n, phis)
+        entry = DirectionCatalogEntry(n, unified_direction_set(n, thetas), alice, *figures)
+    for value in vars(entry).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return entry
 
 
 def reference_notes(entry: DirectionCatalogEntry, c_lhs: float, quantum_max: float) -> list[str]:

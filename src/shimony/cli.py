@@ -57,9 +57,44 @@ def _steering_request(args) -> tuple[int, np.ndarray, catalog.DirectionCatalogEn
     return n, loaded["bob"], None
 
 
-def _evaluate(n: int, m, bob, entry, quantum_max: float):
-    """The per-order evaluation: thresholds, the entry's notes (none for a file) and named cells."""
-    pair = steering.werner_thresholds(m, bob, quantum_max)
+# Each catalog order's bound, verification report and oracle value depend on
+# the order alone, so each is computed once per process and shared read-only.
+@lru_cache(maxsize=None)
+def _catalog_bound(n: int) -> steering.SteeringBoundResult:
+    """C_LHS of AS_n over the catalog's Bob set for order n."""
+    bob = catalog.catalog_directions(n).bob_directions
+    result = steering.steering_lhs_bound(matrices.build_as_matrix(n), bob)
+    for array in (result.alice_witness, result.bob_state_direction, result.column_sums):
+        array.setflags(write=False)
+    return result
+
+
+@lru_cache(maxsize=None)
+def _catalog_report(n: int) -> catalog.VerificationReport:
+    """The `verify-directions` report of catalog order n."""
+    report = catalog.verify_directions(catalog.catalog_directions(n))
+    report.witness_alice.setflags(write=False)
+    report.witness_bob.setflags(write=False)
+    return report
+
+
+@lru_cache(maxsize=None)
+def _catalog_oracle(n: int) -> float:
+    """The oracle's C_LHS of AS_n over the catalog's Bob set for order n."""
+    bob = catalog.catalog_directions(n).bob_directions
+    return steering.steering_lhs_bound_oracle(matrices.build_as_matrix(n), bob)
+
+
+def _evaluate(n: int, bob, entry, quantum_max: float):
+    """The per-order evaluation: thresholds, the entry's notes (none for a file) and named cells.
+
+    A catalog order takes its cached bound; a file's set is bounded afresh.
+    """
+    if entry is None:
+        lhs = steering.steering_lhs_bound(matrices.build_as_matrix(n), bob)
+    else:
+        lhs = _catalog_bound(n)
+    pair = steering._threshold_pair(matrices.lhv_bound_closed_form(n), lhs, quantum_max)
     notes, c_ref, v_ref = [], None, None
     if entry is not None:
         notes = catalog.reference_notes(entry, pair.lhs.value, quantum_max)
@@ -132,14 +167,16 @@ def cmd_bounds(args) -> Outcome:
 
 def cmd_lhs(args) -> Outcome:
     n, bob, entry = _steering_request(args)
-    m = matrices.build_as_matrix(n)
-    pair, notes, cells = _evaluate(n, m, bob, entry, quantum.max_quantum_closed_form(n))
+    pair, notes, cells = _evaluate(n, bob, entry, quantum.max_quantum_closed_form(n))
     metadata = _metadata(n=n, directions_source="file" if entry is None else "catalog")
     if entry is not None:
         metadata["reference"] = entry.c_lhs_reference[0]
     columns = _TABLES["lhs"]
     if args.oracle:
-        oracle_value = steering.steering_lhs_bound_oracle(m, bob)
+        if entry is None:
+            oracle_value = steering.steering_lhs_bound_oracle(matrices.build_as_matrix(n), bob)
+        else:
+            oracle_value = _catalog_oracle(n)
         cells.update(c_lhs_oracle=oracle_value, oracle_delta=abs(oracle_value - pair.lhs.value))
         columns = columns + ["c_lhs_oracle", "oracle_delta"]
     extra = {"witness": pair.lhs.alice_witness, "bob_state": pair.lhs.bob_state_direction}
@@ -149,15 +186,15 @@ def cmd_lhs(args) -> Outcome:
 
 def cmd_thresholds(args) -> Outcome:
     n, bob, entry = _steering_request(args)
-    m = matrices.build_as_matrix(n)
     source = "file" if entry is None else "catalog"
     metadata = _metadata(n=n, directions_source=source, quantum_max_source=args.quantum_max)
     if args.quantum_max == "seesaw":
+        m = matrices.build_as_matrix(n)
         quantum_max = multistart_seesaw(m, restarts=args.restarts, seed=args.seed).value
         metadata.update(restarts=args.restarts, seed=args.seed)
     else:
         quantum_max = quantum.max_quantum_closed_form(n)
-    pair, notes, cells = _evaluate(n, m, bob, entry, quantum_max)
+    pair, notes, cells = _evaluate(n, bob, entry, quantum_max)
     if entry is not None:
         metadata.update(
             v_lhs_reference=entry.v_lhs_reference[0], c_lhs_reference=entry.c_lhs_reference[0]
@@ -221,8 +258,7 @@ def cmd_tables(args) -> Outcome:
     for n in catalog.SUPPORTED_SETTINGS:
         quantum_max = quantum.max_quantum_closed_form(n)
         entry = catalog.catalog_directions(n)
-        m = matrices.build_as_matrix(n)
-        _, order_notes, cells = _evaluate(n, m, entry.bob_directions, entry, quantum_max)
+        _, order_notes, cells = _evaluate(n, entry.bob_directions, entry, quantum_max)
         notes += order_notes
         for name in _PAPER_TABLES:
             cells["note"] = _TABLE_NOTES.get(name, "") if order_notes else ""
@@ -239,7 +275,7 @@ def cmd_tables(args) -> Outcome:
 
 def cmd_verify_directions(args) -> Outcome:
     entry = catalog.catalog_directions(args.n)
-    report = catalog.verify_directions(entry)
+    report = _catalog_report(entry.n)
     rows = [
         [e.label, e.alice_source, e.value, report.target, e.deviation, report.tolerance, e.passed]
         for e in report.evaluations

@@ -331,9 +331,12 @@ def werner_thresholds(m, bob, quantum_max: float) -> ThresholdPair:
     """
     if not quantum_max > 0:
         raise ValueError(f"quantum maximum must be positive, got {quantum_max}")
-    lhv = lhv_bound(m)
-    lhs = steering_lhs_bound(m, bob)
+    return _threshold_pair(lhv_bound(m).value, steering_lhs_bound(m, bob), quantum_max)
+
+
+def _threshold_pair(c_lhv: int, lhs: SteeringBoundResult, quantum_max: float) -> ThresholdPair:
+    """werner_thresholds' arithmetic on bounds already computed, for a positive quantum_max."""
     v_lhs = lhs.value / quantum_max
     below = lhs.quantum_value < quantum_max * (1 - QUANTUM_VALUE_GUARD)
     fixed = lhs.value / lhs.quantum_value if below else v_lhs
-    return ThresholdPair(lhv.value / quantum_max, v_lhs, lhv.value, lhs, quantum_max, below, fixed)
+    return ThresholdPair(c_lhv / quantum_max, v_lhs, c_lhv, lhs, quantum_max, below, fixed)

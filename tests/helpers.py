@@ -45,3 +45,20 @@ def entry_to_dict(entry) -> dict:
         else [[float(x) for x in row] for row in entry.alice_directions],
         "notes": entry.notes,
     }
+
+
+def chained_matrix(n: int) -> np.ndarray:
+    """The chained Bell functional's n x n matrix: m_kk = m_{k+1,k} = 1, m_{1,n} = -1.
+
+    Entries are 1-based as written; n = 2 is CHSH. Braunstein & Caves,
+    Ann. Phys. 202, 22 (1990).
+    """
+    m = np.eye(n, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)
+    m[0, n - 1] = -1
+    return m
+
+
+def half_turn_fan(n: int) -> np.ndarray:
+    """Bob's half-turn fan b_k = (sin(k pi/n), 0, cos(k pi/n)), k = 0..n-1."""
+    t = np.pi * np.arange(n) / n
+    return np.stack([np.sin(t), np.zeros(n), np.cos(t)], axis=1)

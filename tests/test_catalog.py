@@ -46,6 +46,19 @@ def test_entry_shapes_and_norms(n):
     assert entry.notes
 
 
+@pytest.mark.parametrize("n", SUPPORTED_SETTINGS)
+def test_entry_is_shared_and_read_only(n):
+    # One entry per order per process; writing into any of its arrays raises.
+    entry = catalog_directions(n)
+    assert catalog_directions(n) is entry
+    assert catalog_directions(np.int64(n)) is entry
+    arrays = [entry.bob_directions, entry.alice_directions, entry.tabulated_bob,
+              entry.tabulated_alice]
+    for array in filter(lambda a: a is not None, arrays):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.5
+
+
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_unified_structure(n):
     bob = catalog_directions(n).bob_directions

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from helpers import entry_to_dict, random_unit_rows, regular_polygon_set, underflow_bob_set
-from shimony import cli
-from shimony.catalog import catalog_directions, verify_directions
+from shimony import catalog, cli
+from shimony.catalog import SUPPORTED_SETTINGS, catalog_directions, verify_directions
 from shimony.output import OutputDocument, round_sig
 from shimony.seesaw import random_measurement_set
 from shimony.steering import visibility_lhv_closed_form
@@ -214,6 +214,87 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     assert cached == fresh
     assert [code for code, _, _ in cached] == [0, 2, 0, 2, 0, 0, 0, 2, 0]
     assert cached[5][1].startswith("shimony ")
+
+
+# The per-order caches: the catalog entry, and the CLI's bound, report and oracle value.
+CATALOG_CACHES = (
+    catalog._catalog_entry, cli._catalog_bound, cli._catalog_report, cli._catalog_oracle
+)
+# Every catalog-backed command; each runs as "<command> n <flags>".
+CATALOG_COMMANDS = [
+    ["lhs"],
+    ["lhs", "--oracle"],
+    ["thresholds"],
+    ["thresholds", "--quantum-max", "seesaw", "--restarts", "4", "--seed", "3"],
+    ["verify-directions"],
+]
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SETTINGS)
+def test_cached_bound_and_report_are_shared_and_read_only(n):
+    bound, report = cli._catalog_bound(n), cli._catalog_report(n)
+    assert cli._catalog_bound(n) is bound and cli._catalog_report(n) is report
+    arrays = [bound.alice_witness, bound.bob_state_direction, bound.column_sums,
+              report.witness_alice, report.witness_bob]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "csv", "json"])
+def test_catalog_outputs_warm_equal_cold_and_files_stay_out(tmp_path, capsys, fmt):
+    # Each catalog-backed output and exit code is byte-identical on a first
+    # call, a second call and a call after every cache is cleared, and file
+    # requests on other Bob sets between the calls reach no cache.
+    rng = np.random.default_rng(11)
+    files = {}
+    for n in SUPPORTED_SETTINGS:
+        files[n] = tmp_path / f"bob{n}.json"
+        files[n].write_text(json.dumps({"n": n, "bob": random_unit_rows(rng, n).tolist()}))
+
+    def run(argv):
+        code = cli.main([*argv, "--format", fmt])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def clear():
+        for cache in CATALOG_CACHES:
+            cache.cache_clear()
+
+    def sizes():
+        return [cache.cache_info().currsize for cache in CATALOG_CACHES]
+
+    requests = [[command, str(n), *flags] for n in SUPPORTED_SETTINGS
+                for command, *flags in CATALOG_COMMANDS]
+    clear()
+    for argv in [*requests, ["tables"]]:
+        orders = SUPPORTED_SETTINGS if argv == ["tables"] else [int(argv[1])]
+        file_requests = [[command, str(n), "--directions", str(files[n])]
+                         for n in orders for command in ("lhs", "thresholds")]
+        first = run(argv)
+        filled = sizes()
+        warm_files = [run(request) for request in file_requests]
+        assert sizes() == filled
+        second = run(argv)
+        clear()
+        cold_files = [run(request) for request in file_requests]
+        assert sizes() == [0] * len(CATALOG_CACHES)
+        assert first == second == run(argv)
+        assert warm_files == cold_files
+        assert {code for code, _, _ in cold_files} == {0}
+
+    # With every cache refilled, refused orders reach none, so each cache's
+    # keys are exactly the catalog orders: all are present, and no more.
+    for argv in requests:
+        run(argv)
+    for argv in (["lhs", "12"], ["thresholds", "3"], ["verify-directions", "12"]):
+        assert run(argv)[0] == 2
+    assert sizes() == [len(SUPPORTED_SETTINGS)] * len(CATALOG_CACHES)
+    for cache in CATALOG_CACHES:
+        hits = cache.cache_info().hits
+        for n in SUPPORTED_SETTINGS:
+            cache(n)
+        assert cache.cache_info().hits == hits + len(SUPPORTED_SETTINGS)
 
 
 def test_lhs_catalog(capsys):
