@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import acos, asin, cos, pi, sin, sqrt
 
 import numpy as np
 
+from . import steering
 from .matrices import build_as_matrix, lhv_bound_closed_form, require_even_settings
 from .quantum import as_measurement_set, bell_quantum_value, max_quantum_closed_form
 from .seesaw import alice_best_response, seesaw
@@ -167,9 +168,11 @@ class DirectionCatalogEntry:
 
     Each order's entry is shared, read-only: `catalog_directions` builds it
     once per process, and every array in it refuses writes (copy one to
-    change it). `alice_directions` is None where the tabulated data does not
-    fully determine Alice (she is then reconstructed by best response on
-    demand).
+    change it). So do the arrays of its `steering_bound`, `oracle_bound` and
+    `report`, which the entry computes from its own fields on first use and
+    then keeps; an entry made with `dataclasses.replace` computes its own.
+    `alice_directions` is None where the tabulated data does not fully
+    determine Alice (she is then reconstructed by best response on demand).
     `tolerance` is the deviation from the quantum maximum that
     `verify_directions` accepts, and `c_lhs_reference` and `v_lhs_reference`
     are the tabulated C_LHS and V_LHS as (label, value). The n=2 entry
@@ -186,6 +189,21 @@ class DirectionCatalogEntry:
     v_lhs_reference: tuple[str, float]
     tabulated_bob: np.ndarray | None = None
     tabulated_alice: np.ndarray | None = None
+
+    @cached_property
+    def steering_bound(self) -> steering.SteeringBoundResult:
+        """C_LHS of AS_n over `bob_directions` by `steering.steering_lhs_bound`."""
+        return _read_only(steering.steering_lhs_bound(build_as_matrix(self.n), self.bob_directions))
+
+    @cached_property
+    def oracle_bound(self) -> float:
+        """C_LHS of AS_n over `bob_directions` by `steering.steering_lhs_bound_oracle`."""
+        return steering.steering_lhs_bound_oracle(build_as_matrix(self.n), self.bob_directions)
+
+    @cached_property
+    def report(self) -> VerificationReport:
+        """This entry's `verify_directions` report."""
+        return _read_only(verify_directions(self))
 
 
 def catalog_directions(n: int) -> DirectionCatalogEntry:
@@ -211,10 +229,15 @@ def _catalog_entry(n: int) -> DirectionCatalogEntry:
     else:
         alice = None if phis is None else unified_direction_set(n, phis)
         entry = DirectionCatalogEntry(n, unified_direction_set(n, thetas), alice, *figures)
-    for value in vars(entry).values():
+    return _read_only(entry)
+
+
+def _read_only(result):
+    """result, with every array among its attributes set to refuse writes."""
+    for value in vars(result).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-    return entry
+    return result
 
 
 def reference_notes(entry: DirectionCatalogEntry, c_lhs: float, quantum_max: float) -> list[str]:

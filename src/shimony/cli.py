@@ -57,43 +57,15 @@ def _steering_request(args) -> tuple[int, np.ndarray, catalog.DirectionCatalogEn
     return n, loaded["bob"], None
 
 
-# Each catalog order's bound, verification report and oracle value depend on
-# the order alone, so each is computed once per process and shared read-only.
-@lru_cache(maxsize=None)
-def _catalog_bound(n: int) -> steering.SteeringBoundResult:
-    """C_LHS of AS_n over the catalog's Bob set for order n."""
-    bob = catalog.catalog_directions(n).bob_directions
-    result = steering.steering_lhs_bound(matrices.build_as_matrix(n), bob)
-    for array in (result.alice_witness, result.bob_state_direction, result.column_sums):
-        array.setflags(write=False)
-    return result
-
-
-@lru_cache(maxsize=None)
-def _catalog_report(n: int) -> catalog.VerificationReport:
-    """The `verify-directions` report of catalog order n."""
-    report = catalog.verify_directions(catalog.catalog_directions(n))
-    report.witness_alice.setflags(write=False)
-    report.witness_bob.setflags(write=False)
-    return report
-
-
-@lru_cache(maxsize=None)
-def _catalog_oracle(n: int) -> float:
-    """The oracle's C_LHS of AS_n over the catalog's Bob set for order n."""
-    bob = catalog.catalog_directions(n).bob_directions
-    return steering.steering_lhs_bound_oracle(matrices.build_as_matrix(n), bob)
-
-
 def _evaluate(n: int, bob, entry, quantum_max: float):
     """The per-order evaluation: thresholds, the entry's notes (none for a file) and named cells.
 
-    A catalog order takes its cached bound; a file's set is bounded afresh.
+    A catalog order takes its entry's bound; a file's set is bounded afresh.
     """
     if entry is None:
         lhs = steering.steering_lhs_bound(matrices.build_as_matrix(n), bob)
     else:
-        lhs = _catalog_bound(n)
+        lhs = entry.steering_bound
     pair = steering._threshold_pair(matrices.lhv_bound_closed_form(n), lhs, quantum_max)
     notes, c_ref, v_ref = [], None, None
     if entry is not None:
@@ -176,7 +148,7 @@ def cmd_lhs(args) -> Outcome:
         if entry is None:
             oracle_value = steering.steering_lhs_bound_oracle(matrices.build_as_matrix(n), bob)
         else:
-            oracle_value = _catalog_oracle(n)
+            oracle_value = entry.oracle_bound
         cells.update(c_lhs_oracle=oracle_value, oracle_delta=abs(oracle_value - pair.lhs.value))
         columns = columns + ["c_lhs_oracle", "oracle_delta"]
     extra = {"witness": pair.lhs.alice_witness, "bob_state": pair.lhs.bob_state_direction}
@@ -275,7 +247,7 @@ def cmd_tables(args) -> Outcome:
 
 def cmd_verify_directions(args) -> Outcome:
     entry = catalog.catalog_directions(args.n)
-    report = _catalog_report(entry.n)
+    report = entry.report
     rows = [
         [e.label, e.alice_source, e.value, report.target, e.deviation, report.tolerance, e.passed]
         for e in report.evaluations

@@ -336,6 +336,8 @@ def werner_thresholds(m, bob, quantum_max: float) -> ThresholdPair:
 
 def _threshold_pair(c_lhv: int, lhs: SteeringBoundResult, quantum_max: float) -> ThresholdPair:
     """werner_thresholds' arithmetic on bounds already computed, for a positive quantum_max."""
+    if lhs.quantum_value == 0:
+        raise ValueError("Q(b) is 0: every row of m @ bob is zero, so no threshold divides by it")
     v_lhs = lhs.value / quantum_max
     below = lhs.quantum_value < quantum_max * (1 - QUANTUM_VALUE_GUARD)
     fixed = lhs.value / lhs.quantum_value if below else v_lhs

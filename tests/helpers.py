@@ -62,3 +62,31 @@ def half_turn_fan(n: int) -> np.ndarray:
     """Bob's half-turn fan b_k = (sin(k pi/n), 0, cos(k pi/n)), k = 0..n-1."""
     t = np.pi * np.arange(n) / n
     return np.stack([np.sin(t), np.zeros(n), np.cos(t)], axis=1)
+
+
+def _unit(rows) -> np.ndarray:
+    rows = np.array(rows, dtype=np.float64)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _cyclic(rows) -> np.ndarray:
+    """Each row followed by its cyclic shifts (z, x, y) and (y, z, x), as unit rows."""
+    return _unit(np.concatenate([np.roll(rows, s, axis=1) for s in range(3)]))
+
+
+_PHI = (1 + 5**0.5) / 2
+
+
+def cube_diagonals() -> np.ndarray:
+    """The cube's 4 body diagonals (1, +-1, +-1) / sqrt(3)."""
+    return _unit([(1, s, t) for s in (1, -1) for t in (1, -1)])
+
+
+def icosahedron_axes() -> np.ndarray:
+    """The icosahedron's 6 vertex axes: (0, +-1, phi) and their cyclic shifts."""
+    return _cyclic([(0, 1, _PHI), (0, -1, _PHI)])
+
+
+def dodecahedron_axes() -> np.ndarray:
+    """The dodecahedron's 10 vertex axes: the cube's diagonals, (0, +-1/phi, phi) and shifts."""
+    return np.concatenate((cube_diagonals(), _cyclic([(0, 1 / _PHI, _PHI), (0, -1 / _PHI, _PHI)])))

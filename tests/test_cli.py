@@ -1,5 +1,6 @@
 """CLI behavior: formats, exit codes, direction files, golden tables."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,9 +15,14 @@ import pytest
 from helpers import entry_to_dict, random_unit_rows, regular_polygon_set, underflow_bob_set
 from shimony import catalog, cli
 from shimony.catalog import SUPPORTED_SETTINGS, catalog_directions, verify_directions
+from shimony.matrices import build_as_matrix
 from shimony.output import OutputDocument, round_sig
 from shimony.seesaw import random_measurement_set
-from shimony.steering import visibility_lhv_closed_form
+from shimony.steering import (
+    steering_lhs_bound,
+    steering_lhs_bound_oracle,
+    visibility_lhv_closed_form,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -216,10 +222,8 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     assert cached[5][1].startswith("shimony ")
 
 
-# The per-order caches: the catalog entry, and the CLI's bound, report and oracle value.
-CATALOG_CACHES = (
-    catalog._catalog_entry, cli._catalog_bound, cli._catalog_report, cli._catalog_oracle
-)
+# The values a shared catalog entry computes on first use and then keeps.
+CACHED = ("oracle_bound", "report", "steering_bound")
 # Every catalog-backed command; each runs as "<command> n <flags>".
 CATALOG_COMMANDS = [
     ["lhs"],
@@ -230,10 +234,22 @@ CATALOG_COMMANDS = [
 ]
 
 
+def cached_values(entries) -> list[list[str]]:
+    """The names of the values each entry holds, read without computing any."""
+    return [sorted(set(vars(entry)) & set(CACHED)) for entry in entries]
+
+
+def entries_present() -> int:
+    return catalog._catalog_entry.cache_info().currsize
+
+
 @pytest.mark.parametrize("n", SUPPORTED_SETTINGS)
 def test_cached_bound_and_report_are_shared_and_read_only(n):
-    bound, report = cli._catalog_bound(n), cli._catalog_report(n)
-    assert cli._catalog_bound(n) is bound and cli._catalog_report(n) is report
+    entry = catalog_directions(n)
+    bound, report, oracle = entry.steering_bound, entry.report, entry.oracle_bound
+    shared = catalog_directions(n)
+    assert shared.steering_bound is bound and shared.report is report
+    assert shared.oracle_bound is oracle
     arrays = [bound.alice_witness, bound.bob_state_direction, bound.column_sums,
               report.witness_alice, report.witness_bob]
     for array in arrays:
@@ -241,11 +257,35 @@ def test_cached_bound_and_report_are_shared_and_read_only(n):
             array[(0,) * array.ndim] = 0
 
 
+def test_a_replaced_entry_computes_its_own_bound_and_report():
+    # dataclasses.replace builds a new entry from the fields alone, so it
+    # takes none of the shared entry's values, even those already computed.
+    entry = catalog_directions(4)
+    shared = [getattr(entry, name) for name in CACHED]
+    other = random_unit_rows(np.random.default_rng(5), 4)
+    replaced = dataclasses.replace(entry, bob_directions=other)
+    assert cached_values([replaced]) == [[]]
+    m = build_as_matrix(4)
+    fresh = steering_lhs_bound(m, other)
+    assert replaced.steering_bound is not entry.steering_bound
+    assert replaced.steering_bound.value == fresh.value != entry.steering_bound.value
+    assert np.array_equal(replaced.steering_bound.alice_witness, fresh.alice_witness)
+    assert replaced.oracle_bound == steering_lhs_bound_oracle(m, other) != entry.oracle_bound
+    report = verify_directions(replaced)
+    assert replaced.report is not entry.report
+    assert replaced.report.evaluations == report.evaluations != entry.report.evaluations
+    assert np.array_equal(replaced.report.witness_bob, report.witness_bob)
+    # The shared entry keeps its own values.
+    assert catalog_directions(4) is entry
+    assert [getattr(entry, name) for name in CACHED] == shared
+
+
 @pytest.mark.parametrize("fmt", ["pretty", "csv", "json"])
 def test_catalog_outputs_warm_equal_cold_and_files_stay_out(tmp_path, capsys, fmt):
     # Each catalog-backed output and exit code is byte-identical on a first
-    # call, a second call and a call after every cache is cleared, and file
-    # requests on other Bob sets between the calls reach no cache.
+    # call, a second call and a call after the entry cache is cleared, and file
+    # requests on other Bob sets between the calls add no entry and no value
+    # to one.
     rng = np.random.default_rng(11)
     files = {}
     for n in SUPPORTED_SETTINGS:
@@ -257,44 +297,44 @@ def test_catalog_outputs_warm_equal_cold_and_files_stay_out(tmp_path, capsys, fm
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    def clear():
-        for cache in CATALOG_CACHES:
-            cache.cache_clear()
-
-    def sizes():
-        return [cache.cache_info().currsize for cache in CATALOG_CACHES]
-
     requests = [[command, str(n), *flags] for n in SUPPORTED_SETTINGS
                 for command, *flags in CATALOG_COMMANDS]
-    clear()
+    catalog._catalog_entry.cache_clear()
+    present = set()  # the orders whose entries the cache holds
     for argv in [*requests, ["tables"]]:
         orders = SUPPORTED_SETTINGS if argv == ["tables"] else [int(argv[1])]
         file_requests = [[command, str(n), "--directions", str(files[n])]
                          for n in orders for command in ("lhs", "thresholds")]
         first = run(argv)
-        filled = sizes()
+        present |= set(orders)
+        assert entries_present() == len(present)
+        entries = [catalog_directions(n) for n in orders]
+        filled = cached_values(entries)
         warm_files = [run(request) for request in file_requests]
-        assert sizes() == filled
+        assert entries_present() == len(present) and cached_values(entries) == filled
         second = run(argv)
-        clear()
+        catalog._catalog_entry.cache_clear()
         cold_files = [run(request) for request in file_requests]
-        assert sizes() == [0] * len(CATALOG_CACHES)
+        assert entries_present() == 0 and cached_values(entries) == filled
         assert first == second == run(argv)
+        present = set(orders)
         assert warm_files == cold_files
         assert {code for code, _, _ in cold_files} == {0}
 
-    # With every cache refilled, refused orders reach none, so each cache's
-    # keys are exactly the catalog orders: all are present, and no more.
+    # With every entry refilled, refused orders reach none, so the cache's
+    # keys are exactly the catalog orders, and each entry holds every value,
+    # which later reads return as they are.
     for argv in requests:
         run(argv)
     for argv in (["lhs", "12"], ["thresholds", "3"], ["verify-directions", "12"]):
         assert run(argv)[0] == 2
-    assert sizes() == [len(SUPPORTED_SETTINGS)] * len(CATALOG_CACHES)
-    for cache in CATALOG_CACHES:
-        hits = cache.cache_info().hits
-        for n in SUPPORTED_SETTINGS:
-            cache(n)
-        assert cache.cache_info().hits == hits + len(SUPPORTED_SETTINGS)
+    assert entries_present() == len(SUPPORTED_SETTINGS)
+    hits = catalog._catalog_entry.cache_info().hits
+    entries = [catalog_directions(n) for n in SUPPORTED_SETTINGS]
+    assert catalog._catalog_entry.cache_info().hits == hits + len(SUPPORTED_SETTINGS)
+    assert cached_values(entries) == [list(CACHED)] * len(SUPPORTED_SETTINGS)
+    for entry in entries:
+        assert all(getattr(entry, name) is vars(entry)[name] for name in CACHED)
 
 
 def test_lhs_catalog(capsys):

@@ -229,6 +229,13 @@ def test_threshold_validation():
         werner_thresholds(m, bob, -2.0)
 
 
+@pytest.mark.parametrize("m", [[[1, 1], [1, 1]], [[0, 0], [0, 0]]])
+def test_thresholds_refuse_a_zero_quantum_value(m):
+    # Every row of m @ bob is zero, so Q(b) = 0 and no threshold divides by it.
+    with pytest.raises(ValueError, match=r"Q\(b\) is 0"):
+        werner_thresholds(m, [[0, 0, 1], [0, 0, -1]], 2.0)
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         steering_lhs_bound(build_as_matrix(4), catalog_directions(6).bob_directions)
