@@ -27,6 +27,8 @@ from .seesaw import alice_best_response, seesaw
 
 # |a . b| above this flags two catalog directions as (anti)parallel.
 COLLINEARITY_TOL = 1e-9
+# Deviation from the quantum maximum `verify_directions` accepts by default.
+VERIFICATION_TOL = 1e-6
 
 
 def unified_direction_set(n: int, angles) -> np.ndarray:
@@ -121,7 +123,7 @@ _ORDERS = {
         "caps the Bell value at 2; the canonical orthogonal pair (0,0,1), (1,0,0) is stored "
         "instead and attains 2*sqrt(2) with best-response partners. The degenerate tabulated "
         "pairs are kept for diagnostics.",
-        1e-6,
+        VERIFICATION_TOL,
         ("2", 2.0),
         ("1/sqrt(2)", 1 / sqrt(2)),
     ),
@@ -130,21 +132,21 @@ _ORDERS = {
         "Both parties fully tabulated. As tabulated, the Alice set reaches only 60% of the "
         "quantum maximum; negating its x components attains the maximum exactly, and the "
         "azimuthal angles already match the best response (see verify_directions).",
-        1e-6,
+        VERIFICATION_TOL,
         ("2*sqrt(23/3)", 2 * sqrt(23 / 3)),
         ("sqrt(23)/(5*sqrt(2))", sqrt(23) / (5 * sqrt(2))),
     ),
     6: (
         _angles_6,
         _BOB_ONLY_NOTES,
-        1e-6,
+        VERIFICATION_TOL,
         ("sqrt(358/3)", sqrt(358 / 3)),
         ("sqrt(179)/(14*sqrt(2))", sqrt(179) / (14 * sqrt(2))),
     ),
     8: (
         _angles_8,
         _BOB_ONLY_NOTES,
-        1e-6,
+        VERIFICATION_TOL,
         ("sqrt(2*(10444 + sqrt(20305))/65)", sqrt(2 * (10444 + sqrt(20305)) / 65)),
         ("0.6726 (tabulated decimal)", 0.6726),
     ),
@@ -162,31 +164,32 @@ _ORDERS = {
 SUPPORTED_SETTINGS = tuple(_ORDERS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionCatalogEntry:
-    """Direction sets for one catalog order, with the paper's figures for it.
+    """One direction set with what is known of it.
 
-    Each order's entry is shared, read-only: `catalog_directions` builds it
-    once per process, and every array in it refuses writes (copy one to
-    change it). So do the arrays of its `steering_bound`, `oracle_bound` and
-    `report`, which the entry computes from its own fields on first use and
-    then keeps; an entry made with `dataclasses.replace` computes its own.
-    `alice_directions` is None where the tabulated data does not fully
-    determine Alice (she is then reconstructed by best response on demand).
-    `tolerance` is the deviation from the quantum maximum that
-    `verify_directions` accepts, and `c_lhs_reference` and `v_lhs_reference`
-    are the tabulated C_LHS and V_LHS as (label, value). The n=2 entry
-    additionally keeps the raw tabulated pairs, which are degenerate, for
-    diagnostics.
+    An entry is a catalog order's set with the paper's figures for it, or a
+    directions file's set without them (its references are then None).
+    `alice_directions` is None where the data does not fully determine Alice
+    (she is then reconstructed by best response on demand). `tolerance` is
+    the deviation from the quantum maximum that `verify_directions` accepts,
+    and `c_lhs_reference` and `v_lhs_reference` are the tabulated C_LHS and
+    V_LHS as (label, value). The n=2 entry additionally keeps the raw
+    tabulated pairs, which are degenerate, for diagnostics. `steering_bound`,
+    `oracle_bound` and `report` are computed from the entry's own fields on
+    first use and then kept, so an entry loaded from a file or made with
+    `dataclasses.replace` computes its own. `catalog_directions` shares one
+    entry per order per process, and every array in it, its bound and its
+    report refuses writes (copy one to change it).
     """
 
     n: int
     bob_directions: np.ndarray
     alice_directions: np.ndarray | None
     notes: str
-    tolerance: float
-    c_lhs_reference: tuple[str, float]
-    v_lhs_reference: tuple[str, float]
+    tolerance: float = VERIFICATION_TOL
+    c_lhs_reference: tuple[str, float] | None = None
+    v_lhs_reference: tuple[str, float] | None = None
     tabulated_bob: np.ndarray | None = None
     tabulated_alice: np.ndarray | None = None
 
@@ -240,11 +243,12 @@ def _read_only(result):
     return result
 
 
-def reference_notes(entry: DirectionCatalogEntry, c_lhs: float, quantum_max: float) -> list[str]:
-    """Notes on the entry's tabulated figures; at n = 10 they are set against c_lhs."""
-    if entry.n != 10:
+def reference_notes(entry: DirectionCatalogEntry, quantum_max: float) -> list[str]:
+    """Notes on the entry's tabulated figures; at n = 10 they are set against its bound."""
+    if entry.n != 10 or entry.c_lhs_reference is None:
         return []
     (_, c_ref), (_, v_ref) = entry.c_lhs_reference, entry.v_lhs_reference
+    c_lhs = entry.steering_bound.value
     return [
         f"computed bound {c_lhs:.6f} disagrees with the tabulated reference "
         f"{c_ref:.4f}; the computed quotient {c_lhs / quantum_max:.6f} matches "
@@ -273,8 +277,8 @@ def _direction_rows(data, key: str, n: int) -> np.ndarray:
     return as_measurement_set(parsed, n, key + "[{i}]")
 
 
-def directions_from_dict(data) -> dict:
-    """Validate a {n, bob, alice?, notes?} mapping into arrays.
+def directions_from_dict(data) -> DirectionCatalogEntry:
+    """Validate a {n, bob, alice?, notes?} mapping into an entry without tabulated figures.
 
     Raises ValueError naming the offending path on any schema violation.
     """
@@ -292,10 +296,10 @@ def directions_from_dict(data) -> dict:
     notes = data.get("notes", "")
     if not isinstance(notes, str):
         raise ValueError("notes must be a string")
-    return {"n": n, "bob": bob, "alice": alice, "notes": notes}
+    return DirectionCatalogEntry(n, bob, alice, notes)
 
 
-def load_directions_file(path) -> dict:
+def load_directions_file(path) -> DirectionCatalogEntry:
     """Load and validate a JSON directions file (see directions_from_dict)."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -316,7 +320,7 @@ class DirectionEvaluation:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
     """Outcome of checking a catalog entry against the quantum maximum.
 

@@ -13,8 +13,6 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, _kernels, catalog, matrices, quantum, steering
 from .output import FORMATS, OutputDocument, Table
 from .seesaw import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL, multistart_seesaw
@@ -38,38 +36,33 @@ def _signed_text(values) -> str:
     return " ".join(f"{int(v):+d}" for v in values)
 
 
-def _steering_request(args) -> tuple[int, np.ndarray, catalog.DirectionCatalogEntry | None]:
-    """Order n, Bob's directions and the catalog entry (None for a --directions file).
+def _steering_request(args) -> catalog.DirectionCatalogEntry:
+    """The request's direction entry: catalog order n, or the --directions file's set.
 
     n must be even and within the steering cap, checked before a file is read.
     """
     n = matrices.require_even_settings(args.n)
     matrices.require_steering_size(n)
     if args.directions is None:
-        entry = catalog.catalog_directions(n)
-        return n, entry.bob_directions, entry
+        return catalog.catalog_directions(n)
     try:
-        loaded = catalog.load_directions_file(args.directions)
+        entry = catalog.load_directions_file(args.directions)
     except ValueError as exc:
         raise ValueError(f"{args.directions}: {exc}") from exc
-    if loaded["n"] != n:
-        raise ValueError(f"{args.directions}: file is for n={loaded['n']}, command asked for n={n}")
-    return n, loaded["bob"], None
+    if entry.n != n:
+        raise ValueError(f"{args.directions}: file is for n={entry.n}, command asked for n={n}")
+    return entry
 
 
-def _evaluate(n: int, bob, entry, quantum_max: float):
-    """The per-order evaluation: thresholds, the entry's notes (none for a file) and named cells.
+def _evaluate(entry: catalog.DirectionCatalogEntry, quantum_max: float):
+    """The per-order evaluation: thresholds, the entry's notes and named cells.
 
-    A catalog order takes its entry's bound; a file's set is bounded afresh.
+    A file's entry has no tabulated figures, so its reference cells are None.
     """
-    if entry is None:
-        lhs = steering.steering_lhs_bound(matrices.build_as_matrix(n), bob)
-    else:
-        lhs = entry.steering_bound
+    n, lhs = entry.n, entry.steering_bound
     pair = steering._threshold_pair(matrices.lhv_bound_closed_form(n), lhs, quantum_max)
-    notes, c_ref, v_ref = [], None, None
-    if entry is not None:
-        notes = catalog.reference_notes(entry, pair.lhs.value, quantum_max)
+    c_ref = v_ref = None
+    if entry.c_lhs_reference is not None:
         c_ref, v_ref = entry.c_lhs_reference[1], entry.v_lhs_reference[1]
     state = pair.lhs.bob_state_direction.tolist()
     cells = {
@@ -85,7 +78,7 @@ def _evaluate(n: int, bob, entry, quantum_max: float):
         **dict(zip(["bob_state_x", "bob_state_y", "bob_state_z"], state)),
         "witness": _signed_text(pair.lhs.alice_witness),
     }
-    return pair, notes, cells
+    return pair, catalog.reference_notes(entry, quantum_max), cells
 
 
 def _one_row(name: str, cells: dict, columns=None) -> Table:
@@ -138,17 +131,15 @@ def cmd_bounds(args) -> Outcome:
 
 
 def cmd_lhs(args) -> Outcome:
-    n, bob, entry = _steering_request(args)
-    pair, notes, cells = _evaluate(n, bob, entry, quantum.max_quantum_closed_form(n))
-    metadata = _metadata(n=n, directions_source="file" if entry is None else "catalog")
-    if entry is not None:
+    entry = _steering_request(args)
+    pair, notes, cells = _evaluate(entry, quantum.max_quantum_closed_form(entry.n))
+    source = "catalog" if args.directions is None else "file"
+    metadata = _metadata(n=entry.n, directions_source=source)
+    if entry.c_lhs_reference is not None:
         metadata["reference"] = entry.c_lhs_reference[0]
     columns = _TABLES["lhs"]
     if args.oracle:
-        if entry is None:
-            oracle_value = steering.steering_lhs_bound_oracle(matrices.build_as_matrix(n), bob)
-        else:
-            oracle_value = entry.oracle_bound
+        oracle_value = entry.oracle_bound
         cells.update(c_lhs_oracle=oracle_value, oracle_delta=abs(oracle_value - pair.lhs.value))
         columns = columns + ["c_lhs_oracle", "oracle_delta"]
     extra = {"witness": pair.lhs.alice_witness, "bob_state": pair.lhs.bob_state_direction}
@@ -157,17 +148,17 @@ def cmd_lhs(args) -> Outcome:
 
 
 def cmd_thresholds(args) -> Outcome:
-    n, bob, entry = _steering_request(args)
-    source = "file" if entry is None else "catalog"
-    metadata = _metadata(n=n, directions_source=source, quantum_max_source=args.quantum_max)
+    entry = _steering_request(args)
+    source = "catalog" if args.directions is None else "file"
+    metadata = _metadata(n=entry.n, directions_source=source, quantum_max_source=args.quantum_max)
     if args.quantum_max == "seesaw":
-        m = matrices.build_as_matrix(n)
+        m = matrices.build_as_matrix(entry.n)
         quantum_max = multistart_seesaw(m, restarts=args.restarts, seed=args.seed).value
         metadata.update(restarts=args.restarts, seed=args.seed)
     else:
-        quantum_max = quantum.max_quantum_closed_form(n)
-    pair, notes, cells = _evaluate(n, bob, entry, quantum_max)
-    if entry is not None:
+        quantum_max = quantum.max_quantum_closed_form(entry.n)
+    pair, notes, cells = _evaluate(entry, quantum_max)
+    if entry.c_lhs_reference is not None:
         metadata.update(
             v_lhs_reference=entry.v_lhs_reference[0], c_lhs_reference=entry.c_lhs_reference[0]
         )
@@ -229,8 +220,7 @@ def cmd_tables(args) -> Outcome:
     notes = []
     for n in catalog.SUPPORTED_SETTINGS:
         quantum_max = quantum.max_quantum_closed_form(n)
-        entry = catalog.catalog_directions(n)
-        _, order_notes, cells = _evaluate(n, entry.bob_directions, entry, quantum_max)
+        _, order_notes, cells = _evaluate(catalog.catalog_directions(n), quantum_max)
         notes += order_notes
         for name in _PAPER_TABLES:
             cells["note"] = _TABLE_NOTES.get(name, "") if order_notes else ""

@@ -150,7 +150,7 @@ def assignment_from_index(index: int, n: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LhvBoundResult:
     """Exact LHV maximum together with a deterministic attaining pair."""
 

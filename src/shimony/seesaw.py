@@ -57,7 +57,7 @@ def bob_best_response(m, alice) -> np.ndarray:
     return _respond(m.astype(np.float64).T @ alice)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizationResult:
     """Converged direction sets and diagnostics from one see-saw run."""
 

@@ -65,7 +65,7 @@ def visibility_lhv_closed_form(n: int) -> float:
     return 3 * sqrt(n * (n + 2)) / (4 * (n + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteeringBoundResult:
     """LHS maximum with its witness assignment and Bob's optimal state.
 
@@ -300,7 +300,7 @@ def steering_lhs_bound_oracle(m, bob) -> float:
     return best
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdPair:
     """Werner visibility thresholds of one order and Bob set, with their bounds.
 

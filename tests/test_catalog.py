@@ -1,5 +1,6 @@
 """Direction catalog: structure, attained maxima, anomaly reporting."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -8,18 +9,22 @@ import math
 import numpy as np
 import pytest
 
-from helpers import entry_to_dict
+from helpers import entry_to_dict, random_unit_rows
+from shimony import catalog
 from shimony.catalog import (
     SUPPORTED_SETTINGS,
+    VERIFICATION_TOL,
     catalog_directions,
     directions_from_dict,
     load_directions_file,
+    reference_notes,
     unified_direction_set,
     verify_directions,
 )
-from shimony.matrices import build_as_matrix, lhv_bound_closed_form
+from shimony.matrices import build_as_matrix, lhv_bound_bruteforce, lhv_bound_closed_form
 from shimony.quantum import bell_quantum_value, max_quantum_closed_form
-from shimony.seesaw import alice_best_response
+from shimony.seesaw import alice_best_response, seesaw
+from shimony.steering import steering_lhs_bound, steering_lhs_bound_oracle, werner_thresholds
 
 
 def test_supported_orders():
@@ -205,19 +210,21 @@ def test_verify_diagnoses_alice_only_where_bob_reaches_the_maximum():
 
 def test_entry_to_dict_schema():
     for n in SUPPORTED_SETTINGS:
-        data = entry_to_dict(catalog_directions(n))
+        entry = catalog_directions(n)
+        data = entry_to_dict(entry)
         assert set(data) == {"n", "bob", "alice", "notes"}
-        assert data["n"] == n
-        assert len(data["bob"]) == n
         assert all(len(row) == 3 for row in data["bob"])
-        if n == 4:
-            assert len(data["alice"]) == n
-        else:
-            assert data["alice"] is None
-        assert isinstance(data["notes"], str)
-        # Round-trips through the validator.
+        # Round-trips through the validator into an entry with the same four fields.
         parsed = directions_from_dict(data)
-        assert np.allclose(parsed["bob"], catalog_directions(n).bob_directions, atol=1e-12)
+        assert isinstance(parsed, catalog.DirectionCatalogEntry)
+        assert parsed.n == n
+        assert parsed.bob_directions.shape == (n, 3)
+        assert np.allclose(parsed.bob_directions, entry.bob_directions, atol=1e-12)
+        if n == 4:
+            assert np.allclose(parsed.alice_directions, entry.alice_directions, atol=1e-12)
+        else:
+            assert parsed.alice_directions is None
+        assert parsed.notes == entry.notes
 
 
 @pytest.mark.parametrize(
@@ -254,10 +261,72 @@ def test_load_directions_file(tmp_path):
     path = tmp_path / "dirs.json"
     path.write_text(json.dumps(entry_to_dict(catalog_directions(4))))
     parsed = load_directions_file(path)
-    assert parsed["n"] == 4
-    assert np.allclose(parsed["alice"], catalog_directions(4).alice_directions, atol=1e-12)
+    assert parsed.n == 4
+    assert np.allclose(parsed.alice_directions, catalog_directions(4).alice_directions, atol=1e-12)
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ValueError, match="invalid JSON"):
         load_directions_file(bad)
+
+
+def test_a_file_entry_computes_its_own_bounds_and_shares_none(tmp_path):
+    # A file's entry carries no tabulated figures and the default tolerance;
+    # its bounds are the direct calls' bit for bit, each load computes its own,
+    # and no load reaches the per-order cache.
+    path = tmp_path / "bob10.json"
+    bob = random_unit_rows(np.random.default_rng(3), 10)
+    path.write_text(json.dumps({"n": 10, "bob": bob.tolist()}))
+    before = catalog._catalog_entry.cache_info()
+    first, second = load_directions_file(path), load_directions_file(path)
+    assert first is not second
+    for entry in (first, second):
+        assert entry.c_lhs_reference is None and entry.v_lhs_reference is None
+        assert entry.tolerance == VERIFICATION_TOL
+        assert reference_notes(entry, max_quantum_closed_form(10)) == []
+    m = build_as_matrix(10)
+    direct = steering_lhs_bound(m, first.bob_directions)
+    bound = first.steering_bound
+    for name in ("value", "quantum_value", "alice_witness", "bob_state_direction", "column_sums"):
+        bits = [np.asarray(getattr(result, name)).tobytes() for result in (bound, direct)]
+        assert bits[0] == bits[1]
+    assert first.oracle_bound == steering_lhs_bound_oracle(m, first.bob_directions)
+    assert second.steering_bound is not bound
+    assert second.steering_bound.value == bound.value
+    assert catalog._catalog_entry.cache_info() == before
+
+
+# Each result type that holds arrays, directly or in a result it holds, and
+# the field a replaced copy takes a deep copy of.
+ARRAY_HOLDING_RESULTS = {
+    "DirectionCatalogEntry": "bob_directions",
+    "VerificationReport": "witness_bob",
+    "SteeringBoundResult": "alice_witness",
+    "ThresholdPair": "lhs",
+    "LhvBoundResult": "bob_witness",
+    "OptimizationResult": "bob",
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDING_RESULTS)
+def test_array_holding_results_compare_and_hash_by_identity(name):
+    # Value equality would ask an array for its truth value, and hashing would
+    # hash an array; these types compare and hash by identity instead.
+    entry = catalog_directions(4)
+    m = build_as_matrix(4)
+    results = {
+        "DirectionCatalogEntry": entry,
+        "VerificationReport": entry.report,
+        "SteeringBoundResult": entry.steering_bound,
+        "ThresholdPair": werner_thresholds(m, entry.bob_directions, max_quantum_closed_form(4)),
+        "LhvBoundResult": lhv_bound_bruteforce(m),
+        "OptimizationResult": seesaw(m, entry.bob_directions),
+    }
+    result = results[name]
+    assert type(result).__name__ == name
+    field = ARRAY_HOLDING_RESULTS[name]
+    replaced = dataclasses.replace(result, **{field: copy.deepcopy(getattr(result, field))})
+    assert (result == replaced) is False
+    assert result == result
+    assert hash(result) == hash(result)
+    assert len({result, replaced}) == 2
