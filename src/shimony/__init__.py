@@ -32,9 +32,7 @@ from .quantum import (
     SINGLET,
     WernerState,
     bell_quantum_value,
-    bloch_from_spherical,
     correlation,
-    correlation_density_matrix,
     max_quantum_closed_form,
 )
 from .seesaw import (
@@ -71,13 +69,11 @@ __all__ = [
     "WernerState",
     "alice_best_response",
     "bell_quantum_value",
-    "bloch_from_spherical",
     "bob_best_response",
     "build_as_matrix",
     "catalog_directions",
     "classical_value",
     "correlation",
-    "correlation_density_matrix",
     "lhv_bound",
     "lhv_bound_bruteforce",
     "lhv_bound_closed_form",

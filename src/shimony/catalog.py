@@ -178,9 +178,10 @@ class DirectionCatalogEntry:
     tabulated pairs, which are degenerate, for diagnostics. `steering_bound`,
     `oracle_bound` and `report` are computed from the entry's own fields on
     first use and then kept, so an entry loaded from a file or made with
-    `dataclasses.replace` computes its own. `catalog_directions` shares one
-    entry per order per process, and every array in it, its bound and its
-    report refuses writes (copy one to change it).
+    `dataclasses.replace` computes its own. Every entry keeps copies of the
+    arrays it is given, and they, its bound and its report refuse writes
+    (copy one to change it). `catalog_directions` shares one entry per order
+    per process.
     """
 
     n: int
@@ -192,6 +193,12 @@ class DirectionCatalogEntry:
     v_lhs_reference: tuple[str, float] | None = None
     tabulated_bob: np.ndarray | None = None
     tabulated_alice: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.ndarray):
+                object.__setattr__(self, name, value.copy())
+        _read_only(self)
 
     @cached_property
     def steering_bound(self) -> steering.SteeringBoundResult:
@@ -222,17 +229,15 @@ def catalog_directions(n: int) -> DirectionCatalogEntry:
 
 @lru_cache(maxsize=None)
 def _catalog_entry(n: int) -> DirectionCatalogEntry:
-    """Order n's entry, built once per process with every array read-only."""
+    """Order n's entry, built once per process."""
     angles, *figures = _ORDERS[n]
     thetas, phis = angles()
     if n == 2:  # the tabulated pairs are degenerate; the canonical pair stands in
         canonical = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         tabulated = _yz_direction_set(thetas), _yz_direction_set(phis)
-        entry = DirectionCatalogEntry(2, canonical, None, *figures, *tabulated)
-    else:
-        alice = None if phis is None else unified_direction_set(n, phis)
-        entry = DirectionCatalogEntry(n, unified_direction_set(n, thetas), alice, *figures)
-    return _read_only(entry)
+        return DirectionCatalogEntry(2, canonical, None, *figures, *tabulated)
+    alice = None if phis is None else unified_direction_set(n, phis)
+    return DirectionCatalogEntry(n, unified_direction_set(n, thetas), alice, *figures)
 
 
 def _read_only(result):

@@ -36,7 +36,7 @@ catalog sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -51,13 +51,6 @@ DEGENERATE_DIRECTION = np.array([0.0, 0.0, 1.0])
 # is used instead.
 ZERO_RESULTANT_TOL = 1e-12
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-# (|01> - |10>) / sqrt(2)
-SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0]) / sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class WernerState:
@@ -70,11 +63,6 @@ class WernerState:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility!r}")
         object.__setattr__(self, "visibility", v)
-
-    def density_matrix(self) -> np.ndarray:
-        """Explicit 4x4 density matrix of the state."""
-        projector = np.outer(SINGLET_KET, SINGLET_KET)
-        return self.visibility * projector + (1.0 - self.visibility) * np.eye(4) / 4.0
 
 
 SINGLET = WernerState(1.0)
@@ -114,32 +102,11 @@ def as_measurement_set(directions, n: int | None = None, name: str = "direction 
     return arr / norms
 
 
-def bloch_from_spherical(theta: float, phi: float) -> np.ndarray:
-    """Unit vector (sin t cos p, sin t sin p, cos t)."""
-    return np.array([sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta)])
-
-
 def correlation(a, b, state: WernerState = SINGLET) -> float:
     """Joint +-1-outcome correlation -V (a . b) for spin measurements."""
     a = as_bloch_vector(a)
     b = as_bloch_vector(b)
     return -state.visibility * float(a @ b)
-
-
-def spin_observable(direction) -> np.ndarray:
-    """sigma . a for a Bloch direction a."""
-    d = as_bloch_vector(direction)
-    return d[0] * PAULI_X + d[1] * PAULI_Y + d[2] * PAULI_Z
-
-
-def correlation_density_matrix(a, b, state: WernerState = SINGLET) -> float:
-    """Same correlation via the explicit trace tr[rho (sigma.a x sigma.b)].
-
-    Slow path kept as an independent cross-check of `correlation`.
-    """
-    rho = state.density_matrix().astype(complex)
-    observable = np.kron(spin_observable(a), spin_observable(b))
-    return float(np.trace(rho @ observable).real)
 
 
 def bell_quantum_value(m, alice, bob, state: WernerState = SINGLET) -> float:

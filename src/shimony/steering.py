@@ -128,7 +128,8 @@ def _sweep_candidates(gen: np.ndarray, d: np.ndarray, window: float) -> np.ndarr
     other half circle gives the mirrors -A. Coincident crossings (coplanar
     generators) give arcs of zero length, whose patterns are still
     assignments. Some patterns may lie below the window; none within it is
-    missed.
+    missed. Every vertex ends at least 2 edges parallel to distinct merged
+    generators, so at least 2 circles find it: one dropped loses only rounding.
     """
     g = len(gen)
     # Any basis (e1_i, e2_i) of the plane normal to d_i parametrizes circle

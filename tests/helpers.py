@@ -1,6 +1,42 @@
 """Small shared utilities for the test suite."""
 
+from math import cos, sin, sqrt
+
 import numpy as np
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# (|01> - |10>) / sqrt(2)
+SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0]) / sqrt(2.0)
+
+
+def density_matrix(state) -> np.ndarray:
+    """Explicit 4x4 density matrix V |psi-><psi-| + (1 - V) I/4 of a WernerState."""
+    projector = np.outer(SINGLET_KET, SINGLET_KET)
+    return state.visibility * projector + (1.0 - state.visibility) * np.eye(4) / 4.0
+
+
+def spin_observable(direction) -> np.ndarray:
+    """sigma . a for a Bloch direction a."""
+    x, y, z = direction
+    return x * PAULI_X + y * PAULI_Y + z * PAULI_Z
+
+
+def correlation_density_matrix(a, b, state) -> float:
+    """The Werner correlation as the explicit trace tr[rho (sigma.a x sigma.b)].
+
+    The independent check of `shimony.quantum.correlation`, which computes
+    -V (a . b) and shares no code with this path.
+    """
+    observable = np.kron(spin_observable(a), spin_observable(b))
+    return float(np.trace(density_matrix(state) @ observable).real)
+
+
+def bloch_from_spherical(theta: float, phi: float) -> np.ndarray:
+    """Unit vector (sin t cos p, sin t sin p, cos t)."""
+    return np.array([sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta)])
 
 
 def random_rotation(rng) -> np.ndarray:

@@ -35,7 +35,6 @@ from shimony.quantum import (
     WernerState,
     bell_quantum_value,
     correlation,
-    correlation_density_matrix,
     max_quantum_closed_form,
 )
 from shimony.seesaw import alice_best_response, multistart_seesaw
@@ -45,7 +44,7 @@ from shimony.steering import (
     visibility_lhv_closed_form,
 )
 
-from helpers import random_rotation, random_unit_rows
+from helpers import correlation_density_matrix, random_rotation, random_unit_rows
 
 # closed-form steering bounds for the catalog direction sets
 LHS_EXACT = {

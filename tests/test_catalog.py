@@ -64,6 +64,26 @@ def test_entry_is_shared_and_read_only(n):
             array[0, 0] = 0.5
 
 
+def test_a_file_entry_refuses_writes_so_its_bound_stays_right():
+    entry = directions_from_dict({"n": 4, "bob": [[0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    assert entry.steering_bound.value == pytest.approx(math.sqrt(20), rel=1e-15)
+    with pytest.raises(ValueError, match="read-only"):
+        entry.bob_directions[:] = [[0, 0, 1]] * 4
+    fresh = steering_lhs_bound(build_as_matrix(4), entry.bob_directions)
+    assert entry.steering_bound.value == fresh.value
+
+
+def test_a_replaced_entry_copies_and_freezes_the_callers_array():
+    bob = catalog_directions(4).bob_directions.copy()
+    entry = dataclasses.replace(catalog_directions(4), bob_directions=bob)
+    assert entry.bob_directions is not bob
+    assert np.array_equal(entry.bob_directions, bob)
+    with pytest.raises(ValueError, match="read-only"):
+        entry.bob_directions[0, 0] = 0.5
+    bob[0, 0] = 0.5
+    assert entry.bob_directions[0, 0] != 0.5
+
+
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_unified_structure(n):
     bob = catalog_directions(n).bob_directions

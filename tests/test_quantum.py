@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_rotation, random_unit_rows
+from helpers import (
+    bloch_from_spherical,
+    correlation_density_matrix,
+    density_matrix,
+    random_rotation,
+    random_unit_rows,
+)
 from shimony.catalog import SUPPORTED_SETTINGS, catalog_directions
 from shimony.matrices import build_as_matrix
 from shimony.quantum import (
@@ -17,9 +23,7 @@ from shimony.quantum import (
     as_bloch_vector,
     as_measurement_set,
     bell_quantum_value,
-    bloch_from_spherical,
     correlation,
-    correlation_density_matrix,
     max_quantum_closed_form,
 )
 from shimony.seesaw import alice_best_response, multistart_seesaw
@@ -91,7 +95,7 @@ def test_werner_visibility_validation(bad):
 
 def test_werner_density_matrix_is_a_state():
     for v in (0.0, 0.3, 1.0):
-        rho = WernerState(v).density_matrix()
+        rho = density_matrix(WernerState(v))
         assert rho.shape == (4, 4)
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.allclose(rho, rho.conj().T, atol=1e-12)

@@ -166,6 +166,36 @@ def test_zero_matrix_degenerate_state():
     assert np.array_equal(result.bob_state_direction, [0, 0, 1])
 
 
+def test_tie_within_tolerance_reaches_the_smallest_witness_by_flips():
+    # Bob directions 0 and 1 lie 1e-14 apart, so row 0 of w = m @ bob is
+    # (-1e-14, 0, 0), antiparallel to row 1. The sweep meets only the
+    # vertices where the merged rows 0 and 1 take opposite signs; the
+    # smallest of them is (-1, +1, -1). Flipping row 1 to -1 costs 2e-14
+    # in norm, inside STEERING_TIE_TOL, so only the flip loop reaches the
+    # smaller witness (-1, -1, -1).
+    m = [[1, -1, 0], [0, 0, 1], [1, 0, 0]]
+    bob = [[0.0, 0.0, 1.0], [1e-14, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    result = steering_lhs_bound(m, bob)
+    assert result.alice_witness.tolist() == [-1, -1, -1]
+    assert result.column_sums.tolist() == [-2, 1, -1]
+    assert result.value == pytest.approx(math.sqrt(2), abs=1e-12)
+
+
+def test_maximum_found_only_as_the_short_end_of_its_arcs():
+    # Bob's axes make w = m @ bob six integer rows. The maximal vertex, with
+    # squared norm 134 at (-1, +1, +1, +1, +1, +1) and its mirror alone, is on
+    # the sweep's circles 0, 2, 4 and 5, each time as the r - gen_i end of an
+    # arc whose r + gen_i end has squared norm 74 to 110. A sweep that ranked
+    # both ends by the r + gen_i end would miss it and report sqrt(126).
+    m = np.zeros((6, 6), dtype=int)
+    m[:, :3] = [[-1, 3, -1], [0, -3, 2], [1, 0, 2], [0, 0, 2], [-2, 2, 3], [-2, 1, 1]]
+    bob = np.concatenate((np.eye(3), np.tile([0.0, 0.0, 1.0], (3, 1))))
+    result = steering_lhs_bound(m, bob)
+    assert result.alice_witness.tolist() == [-1, 1, 1, 1, 1, 1]
+    assert result.column_sums.tolist() == [-2, -3, 11, 0, 0, 0]
+    assert result.value == math.sqrt(134)
+
+
 def test_thresholds_n2_and_n4():
     m2 = build_as_matrix(2)
     pair = werner_thresholds(m2, catalog_directions(2).bob_directions, max_quantum_closed_form(2))
