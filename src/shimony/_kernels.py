@@ -1,7 +1,9 @@
 """Exact LHV enumeration kernel over Alice's 2**n deterministic assignments.
 
 Assignments are indexed so that bit n-1-i holds Alice setting i (clear bit is
--1); numeric index order is then lexicographic order with -1 < +1.
+-1); numeric index order is then lexicographic order with -1 < +1. The scan
+keeps the smallest maximizing index and returns its assignment, read from the
+sign tables it was scored with.
 
 Three exact reductions keep the scan cheap without changing any result:
 
@@ -82,8 +84,8 @@ def _fold_one_half_columns(
     return np.vstack([high[mixed], folded_high]), np.vstack([low[mixed], folded_low])
 
 
-def lhv_max(m: np.ndarray) -> tuple[int, int]:
-    """Max over assignments of sum_j |column sum|, with the smallest index."""
+def lhv_max(m: np.ndarray) -> tuple[int, np.ndarray]:
+    """Max over assignments of sum_j |column sum|, with the smallest maximizing assignment."""
     m = np.asarray(m, dtype=np.int64)
     n = m.shape[0]
     # Every table entry and score is bounded by n * max_i sum_j |m_ij|; the
@@ -106,4 +108,5 @@ def lhv_max(m: np.ndarray) -> tuple[int, int]:
         if values[k] > best:
             best = int(values[k])
             best_index = (start << lo) + k
-    return best, best_index
+    h, l = divmod(best_index, 1 << lo)
+    return best, np.concatenate(([-1], _signs(n - 1 - lo)[:, h], _signs(lo)[:, l]))

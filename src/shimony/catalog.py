@@ -178,10 +178,10 @@ class DirectionCatalogEntry:
     tabulated pairs, which are degenerate, for diagnostics. `steering_bound`,
     `oracle_bound` and `report` are computed from the entry's own fields on
     first use and then kept, so an entry loaded from a file or made with
-    `dataclasses.replace` computes its own. Every entry keeps copies of the
-    arrays it is given, and they, its bound and its report refuse writes
-    (copy one to change it). `catalog_directions` shares one entry per order
-    per process.
+    `dataclasses.replace` computes its own. Every entry keeps float64 copies
+    of the directions it is given, arrays or nested lists, and they, its
+    bound and its report refuse writes (copy one to change it).
+    `catalog_directions` shares one entry per order per process.
     """
 
     n: int
@@ -195,9 +195,10 @@ class DirectionCatalogEntry:
     tabulated_alice: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, value in list(vars(self).items()):
-            if isinstance(value, np.ndarray):
-                object.__setattr__(self, name, value.copy())
+        for name in ("bob_directions", "alice_directions", "tabulated_bob", "tabulated_alice"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, np.array(value, dtype=np.float64))
         _read_only(self)
 
     @cached_property
@@ -289,9 +290,7 @@ def directions_from_dict(data) -> DirectionCatalogEntry:
     """
     if not isinstance(data, dict):
         raise ValueError("top-level value must be an object")
-    n = data.get("n")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2 or n % 2 != 0:
-        raise ValueError("n must be an even integer >= 2")
+    n = require_even_settings(data.get("n"))
     if "bob" not in data:
         raise ValueError("bob is required")
     bob = _direction_rows(data, "bob", n)

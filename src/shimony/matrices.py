@@ -139,17 +139,6 @@ def lhv_bound_closed_form(n: int) -> int:
     return (n // 2) * (n // 2 + 1)
 
 
-def assignment_from_index(index: int, n: int) -> np.ndarray:
-    """Decode an enumeration index into a +-1 assignment.
-
-    Bit n-1-i of the index holds setting i, with a clear bit meaning -1, so
-    numeric order on indices equals lexicographic order on assignments under
-    -1 < +1.
-    """
-    bits = (int(index) >> np.arange(n - 1, -1, -1, dtype=np.int64)) & 1
-    return (2 * bits - 1).astype(np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class LhvBoundResult:
     """Exact LHV maximum together with a deterministic attaining pair."""
@@ -176,10 +165,8 @@ def lhv_bound_bruteforce(m) -> LhvBoundResult:
     (-1 < +1); Bob's witness takes -1 on zero column sums for the same reason.
     """
     m = as_coefficient_matrix(m)
-    n = m.shape[0]
-    require_enumerable(n)
-    value, index = _kernels.lhv_max(m)
-    return _with_bob_response(m, value, assignment_from_index(index, n))
+    require_enumerable(m.shape[0])
+    return _with_bob_response(m, *_kernels.lhv_max(m))
 
 
 def lhv_bound(m) -> LhvBoundResult:

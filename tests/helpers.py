@@ -3,6 +3,8 @@
 from math import cos, sin, sqrt
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -65,6 +67,30 @@ def underflow_bob_set(rng, n: int) -> np.ndarray:
     return bob
 
 
+def drawn_array(dtype, shape, elements):
+    """Strategy: an array with every entry drawn from elements.
+
+    No fill value, so most entries do not repeat one value: generic inputs
+    stay as common as the random draws this replaces, and the degenerate
+    ones come from what the strategies plant.
+    """
+    return arrays(dtype, shape, elements=elements, fill=st.nothing())
+
+
+def direction_rows(k: int):
+    """Strategy: a (k, 3) float array with components in [-1, 1], for scaled_to_unit."""
+    return drawn_array(np.float64, (k, 3), st.floats(-1.0, 1.0))
+
+
+def scaled_to_unit(rows) -> np.ndarray:
+    """rows over their norms; a row shorter than 1e-100, whose squares may underflow, is +x."""
+    rows = np.array(rows, dtype=np.float64)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    short = norms[:, 0] < 1e-100
+    rows[short], norms[short] = (1.0, 0.0, 0.0), 1.0
+    return rows / norms
+
+
 def regular_polygon_set(n: int) -> np.ndarray:
     """A coplanar regular n-gon of unit rows in the xy plane, drawing no random numbers."""
     t = 2 * np.pi * np.arange(n) / n
@@ -100,14 +126,9 @@ def half_turn_fan(n: int) -> np.ndarray:
     return np.stack([np.sin(t), np.zeros(n), np.cos(t)], axis=1)
 
 
-def _unit(rows) -> np.ndarray:
-    rows = np.array(rows, dtype=np.float64)
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
 def _cyclic(rows) -> np.ndarray:
     """Each row followed by its cyclic shifts (z, x, y) and (y, z, x), as unit rows."""
-    return _unit(np.concatenate([np.roll(rows, s, axis=1) for s in range(3)]))
+    return scaled_to_unit(np.concatenate([np.roll(rows, s, axis=1) for s in range(3)]))
 
 
 _PHI = (1 + 5**0.5) / 2
@@ -115,7 +136,7 @@ _PHI = (1 + 5**0.5) / 2
 
 def cube_diagonals() -> np.ndarray:
     """The cube's 4 body diagonals (1, +-1, +-1) / sqrt(3)."""
-    return _unit([(1, s, t) for s in (1, -1) for t in (1, -1)])
+    return scaled_to_unit([(1, s, t) for s in (1, -1) for t in (1, -1)])
 
 
 def icosahedron_axes() -> np.ndarray:

@@ -84,6 +84,25 @@ def test_a_replaced_entry_copies_and_freezes_the_callers_array():
     assert entry.bob_directions[0, 0] != 0.5
 
 
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+def test_an_entry_copies_nested_lists_so_its_bound_stays_right(build):
+    bob = [[0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    alice = [[0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    if build == "constructor":
+        entry = catalog.DirectionCatalogEntry(4, bob, alice, "")
+    else:
+        entry = dataclasses.replace(
+            catalog_directions(4), bob_directions=bob, alice_directions=alice
+        )
+    assert entry.steering_bound.value == pytest.approx(math.sqrt(20), rel=1e-15)
+    bob[:] = alice[:] = [[0, 0, 1]] * 4
+    fresh = steering_lhs_bound(build_as_matrix(4), entry.bob_directions)
+    assert entry.steering_bound.value == fresh.value
+    for directions in (entry.bob_directions, entry.alice_directions):
+        assert directions.dtype == np.float64 and not directions.flags.writeable
+        assert np.array_equal(directions, [[0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_unified_structure(n):
     bob = catalog_directions(n).bob_directions
@@ -251,8 +270,8 @@ def test_entry_to_dict_schema():
     "data,fragment",
     [
         ([1, 2], "top-level"),
-        ({"bob": []}, "n must be"),
-        ({"n": 3, "bob": []}, "n must be"),
+        ({"bob": []}, "must be an integer, got None"),
+        ({"n": 3, "bob": []}, "must be an even integer >= 2, got 3"),
         ({"n": 2}, "bob is required"),
         ({"n": 2, "bob": [[0, 0, 1]]}, "bob must be a list of 2"),
         ({"n": 2, "bob": [[0, 0, 1], [1, 0]]}, "bob[1] must be a 3-component"),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_unit_rows
+from helpers import direction_rows, drawn_array, random_unit_rows, scaled_to_unit
 from shimony import _kernels, steering
 from shimony.catalog import catalog_directions
 from shimony.matrices import build_as_matrix
@@ -26,9 +26,10 @@ def all_assignments(n):
 
 
 def reference_lhv(m):
-    values = np.abs(all_assignments(len(m)) @ m).sum(axis=1)
+    assignments = all_assignments(len(m))
+    values = np.abs(assignments @ m).sum(axis=1)
     index = int(np.argmax(values))
-    return int(values[index]), index
+    return int(values[index]), assignments[index]
 
 
 def reference_steering(m, bob, tie_tol=steering.STEERING_TIE_TOL):
@@ -94,10 +95,16 @@ def bob_set(rng, n, kind):
     return bob
 
 
+def assert_lhv_result(result, expected):
+    (value, alice), (expected_value, expected_alice) = result, expected
+    assert value == expected_value
+    assert alice.dtype == np.int64 and np.array_equal(alice, expected_alice)
+
+
 def assert_lhv_matches(m):
-    value, index = _kernels.lhv_max(m)
-    assert (value, index) == reference_lhv(m)
-    assert index < 1 << (len(m) - 1)
+    result = _kernels.lhv_max(m)
+    assert_lhv_result(result, reference_lhv(m))
+    assert result[1][0] == -1
 
 
 def assert_steering_matches(m, bob, tie_tol=steering.STEERING_TIE_TOL, brute_force=True):
@@ -150,14 +157,15 @@ def test_lhv_multi_block_with_one_half_columns(plant):
 
 
 def python_int_lhv(m):
-    """Max over assignments of sum_j |column sum| in Python integers, smallest index."""
+    """Max over assignments of sum_j |column sum| in Python integers, smallest assignment."""
     rows = [[int(x) for x in row] for row in np.asarray(m)]
+    assignments = list(itertools.product((-1, 1), repeat=len(rows)))
     scores = [
         sum(abs(sum(a * row[j] for a, row in zip(signs, rows))) for j in range(len(rows[0])))
-        for signs in itertools.product((-1, 1), repeat=len(rows))
+        for signs in assignments
     ]
     best = max(scores)
-    return best, scores.index(best)
+    return best, assignments[scores.index(best)]
 
 
 # Each input's score bound n * max_i sum_j |m_ij| sits at an integer type's
@@ -179,7 +187,7 @@ def test_lhv_at_the_integer_type_boundaries(rows):
     m = np.array(rows, dtype=np.int64)
     expected = python_int_lhv(rows)
     assert expected[0] == len(rows) * int(np.abs(m).sum(axis=1).max())
-    assert _kernels.lhv_max(m) == expected
+    assert_lhv_result(_kernels.lhv_max(m), expected)
 
 
 def test_lhv_wide_entries_take_the_int64_path():
@@ -263,10 +271,10 @@ def test_kernels_match_reference_property(inputs, block):
 
 def test_lhv_tie_break_prefers_smallest_index():
     # Every assignment of [[0,1],[1,0]] scores 2; the all -1 assignment
-    # (index 0) must win. With n = 1 both assignments tie as well.
-    assert _kernels.lhv_max(np.array([[0, 1], [1, 0]])) == (2, 0)
-    assert _kernels.lhv_max(np.array([[3]])) == (3, 0)
-    assert _kernels.lhv_max(np.zeros((1, 1), dtype=np.int64)) == (0, 0)
+    # must win. With n = 1 both assignments tie as well.
+    assert_lhv_result(_kernels.lhv_max(np.array([[0, 1], [1, 0]])), (2, [-1, -1]))
+    assert_lhv_result(_kernels.lhv_max(np.array([[3]])), (3, [-1]))
+    assert_lhv_result(_kernels.lhv_max(np.zeros((1, 1), dtype=np.int64)), (0, [-1]))
 
 
 def test_steering_tie_break_prefers_smallest_index():
@@ -295,36 +303,39 @@ def degenerate_inputs(draw):
     coplanar, collinear (+-b), repeated (one direction), clustered within
     1e-7 to 1e-11 of one direction (nearly parallel rows that are not
     merged) or drawn from small integer vectors, which makes exact ties and
-    coplanar triples common.
+    coplanar triples common. Every number is drawn through Hypothesis, so a
+    failure shrinks, and the arrays are returned as lists, whose repr is
+    exact, so the printed example replays.
     """
     n = draw(st.integers(1, 20))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = rng.integers(-3, 4, size=(n, n))
+    row = st.integers(0, n - 1)
+    m = draw(drawn_array(np.int64, (n, n), st.integers(-3, 3)))
     for _ in range(draw(st.integers(0, 3))):
-        i, j = rng.integers(n, size=2)
+        i, j = draw(row), draw(row)
         m[i] = draw(st.sampled_from([0, 1, -1, 2])) * m[j]
     kinds = ["random", "coplanar", "collinear", "repeated", "clustered", "integer"]
     kind = draw(st.sampled_from(kinds))
     if kind == "integer":
-        bob = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
+        bob = draw(drawn_array(np.int64, (n, 3), st.integers(-2, 2))).astype(np.float64)
         bob[~bob.any(axis=1)] = [0.0, 0.0, 1.0]
     else:
-        bob = rng.standard_normal((n, 3))
+        bob = draw(direction_rows(n))
         if kind == "coplanar":
             bob[:, 2] = 0.0
-        elif kind == "collinear":
-            bob = np.sign(rng.standard_normal((n, 1))) * bob[0]
+        bob = scaled_to_unit(bob)
+        if kind == "collinear":
+            bob = draw(drawn_array(np.float64, (n, 1), st.sampled_from([-1.0, 1.0]))) * bob[0]
         elif kind == "repeated":
             bob[:] = bob[0]
         elif kind == "clustered":
             bob = bob[0] + draw(st.sampled_from([1e-7, 1e-9, 1e-11])) * bob
-    bob /= np.linalg.norm(bob, axis=1, keepdims=True)
+    bob = scaled_to_unit(bob)
     eye = np.eye(n, dtype=np.int64)
     for i in range(draw(st.integers(0, min(2, n // 2)))):
         gap = draw(st.sampled_from([1e-14, 1e-13]))
-        bob[2 * i + 1] = bob[2 * i] + gap * random_unit_rows(rng, 1)[0]
-        m[rng.integers(n)] = eye[2 * i] - eye[2 * i + 1]
-    return m, bob
+        bob[2 * i + 1] = bob[2 * i] + gap * scaled_to_unit(draw(direction_rows(1)))[0]
+        m[draw(row)] = eye[2 * i] - eye[2 * i + 1]
+    return m.tolist(), bob.tolist()
 
 
 def test_nearly_antiparallel_rows_keep_both_signs():
@@ -356,5 +367,5 @@ def test_parallel_chains_merge_into_one_group():
 @settings(max_examples=150, deadline=None)
 @given(degenerate_inputs())
 def test_sweep_matches_kernel_on_degenerate_inputs(inputs):
-    m, bob = inputs
+    m, bob = map(np.array, inputs)
     assert_steering_matches(m, bob, brute_force=len(m) <= 12)

@@ -12,7 +12,6 @@ from shimony.matrices import (
     MAX_ENUMERATION_SETTINGS,
     ResourceLimitError,
     as_coefficient_matrix,
-    assignment_from_index,
     build_as_matrix,
     classical_value,
     lhv_bound,
@@ -137,8 +136,8 @@ def test_walk_dp_agrees_with_the_scan(n):
     for alice in np.random.default_rng(n).choice((-1, 1), size=(8, n)):
         assert np.array_equal(as_column_sums_by_walk(alice), alice @ m)
     best, _, alice = walk_dp(n)
-    index = int("".join("1" if a > 0 else "0" for a in alice), 2)
-    assert (best, index) == _kernels.lhv_max(m)
+    value, scanned = _kernels.lhv_max(m)
+    assert value == best and np.array_equal(scanned, alice)
 
 
 @pytest.mark.parametrize("n", range(2, 22, 2))
@@ -335,13 +334,6 @@ def test_resource_cap():
     n = MAX_ENUMERATION_SETTINGS + 2
     with pytest.raises(ResourceLimitError, match="exceeds the cap of 24 settings"):
         lhv_bound_bruteforce(build_as_matrix(n))
-
-
-def test_assignment_from_index_encoding():
-    assert np.array_equal(assignment_from_index(0, 4), [-1, -1, -1, -1])
-    assert np.array_equal(assignment_from_index(1, 4), [-1, -1, -1, 1])
-    assert np.array_equal(assignment_from_index(0b1010, 4), [1, -1, 1, -1])
-    assert np.array_equal(assignment_from_index(15, 4), [1, 1, 1, 1])
 
 
 signs = st.lists(st.sampled_from([-1, 1]), min_size=4, max_size=4)

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_rotation, random_unit_rows, regular_polygon_set, underflow_bob_set
+from helpers import (
+    direction_rows,
+    drawn_array,
+    random_rotation,
+    random_unit_rows,
+    regular_polygon_set,
+    scaled_to_unit,
+    underflow_bob_set,
+)
 from shimony.catalog import catalog_directions
 from shimony.matrices import (
     MAX_STEERING_SETTINGS,
@@ -21,6 +29,7 @@ from shimony.quantum import bell_quantum_value, max_quantum_closed_form
 from shimony.seesaw import alice_best_response, random_measurement_set
 from shimony.steering import (
     QUANTUM_VALUE_GUARD,
+    STEERING_TIE_TOL,
     steering_lhs_bound,
     steering_lhs_bound_oracle,
     visibility_lhv_closed_form,
@@ -179,6 +188,26 @@ def test_tie_within_tolerance_reaches_the_smallest_witness_by_flips():
     assert result.alice_witness.tolist() == [-1, -1, -1]
     assert result.column_sums.tolist() == [-2, 1, -1]
     assert result.value == pytest.approx(math.sqrt(2), abs=1e-12)
+
+
+def test_near_tie_within_tolerance_is_found_by_the_sweep_window():
+    # Rows of w = m @ bob: (-1, 0, 0), (0, -2, -1 - 1e-12), (1, 0, 2) and
+    # (2, 0, -1). With Bob direction 1 untilted, A = (-1, +1, -1, +1) and
+    # B = (-1, -1, +1, +1) both reach squared norm 24, and every other
+    # vertex at most 20. The tilt puts A 4e-13 above B, inside
+    # STEERING_TIE_TOL, so the smaller B is the witness. The flip loop only
+    # turns +1 rows to -1, and B has a +1 where A has -1 (row 2) and where
+    # -A has -1 (row 3): only a sweep window as wide as the tolerance finds B.
+    m = np.zeros((4, 4), dtype=int)
+    m[:, :3] = [[-1, 0, 0], [0, -2, -1], [1, 0, 2], [2, 0, -1]]
+    bob = [[1.0, 0.0, 0.0], [0.0, 1.0, 5e-13], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+    w = m @ np.array(bob)
+    gap = np.linalg.norm([-1, 1, -1, 1] @ w) - np.linalg.norm([-1, -1, 1, 1] @ w)
+    assert 0 < gap < STEERING_TIE_TOL
+    result = steering_lhs_bound(m, bob)
+    assert result.alice_witness.tolist() == [-1, -1, 1, 1]
+    assert result.column_sums.tolist() == [4, 2, 2, 0]
+    assert result.value == pytest.approx(math.sqrt(24), abs=1e-12)
 
 
 def test_maximum_found_only_as_the_short_end_of_its_arcs():
@@ -423,30 +452,31 @@ def thin_cell_inputs(draw):
     w. Rows e_j - e_k over nearly equal b_j, b_k have norm about 1e-13; zero
     rows, the all-zero matrix and coplanar sets are drawn too. Row 0 stays all
     ones, as in AS_n, so a nonzero bound is never only a rounding residue of
-    rows that all cancel.
+    rows that all cancel. Every number is drawn through Hypothesis and the
+    arrays are returned as lists, so a failure shrinks and replays as printed.
     """
     n = draw(st.integers(1, 20))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = rng.integers(-3, 4, size=(n, n))
+    m = draw(drawn_array(np.int64, (n, n), st.integers(-3, 3)))
     m[0] = 1
     spread = draw(st.sampled_from([1.0, 1e-3, 1e-7, 1e-13]))
-    bob = rng.standard_normal(3) + spread * rng.standard_normal((n, 3))
+    bob = scaled_to_unit(draw(direction_rows(1))) + spread * draw(direction_rows(n))
     eye = np.eye(n, dtype=np.int64)
     for i in range(draw(st.integers(0, min(3, n // 2)))):
-        bob[2 * i + 1] = bob[2 * i] + 1e-13 * rng.standard_normal(3)
+        bob[2 * i + 1] = bob[2 * i] + 1e-13 * draw(direction_rows(1))[0]
         m[1 + i] = eye[2 * i] - eye[2 * i + 1]
-    m[1 + rng.integers(n - 1, size=draw(st.integers(0, min(3, n - 1))))] = 0
+    if n > 1:
+        m[draw(st.lists(st.integers(1, n - 1), max_size=min(3, n - 1)))] = 0
     if draw(st.booleans()):
         bob[:, 2] = 0.0
     if draw(st.integers(0, 9)) == 0:
         m[:] = 0
-    return m, bob / np.linalg.norm(bob, axis=1, keepdims=True)
+    return m.tolist(), scaled_to_unit(bob).tolist()
 
 
 @settings(max_examples=120, deadline=None)
 @given(thin_cell_inputs())
 def test_oracle_matches_kernel_on_thin_cells(inputs):
-    m, bob = inputs
+    m, bob = map(np.array, inputs)
     fast = steering_lhs_bound(m, bob).value
     oracle = steering_lhs_bound_oracle(m, bob)
     assert oracle == pytest.approx(fast, rel=1e-12, abs=0)
