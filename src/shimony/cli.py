@@ -284,6 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
+    def add_directions(p):
+        help_text = "JSON directions file {n, bob, alice?, notes?}; default is the built-in catalog"
+        p.add_argument("--directions", type=Path, help=help_text)
+
+    def add_restarts_and_seed(p):
+        p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
+        p.add_argument("--seed", type=int, default=0)
+
     add_command("matrix", "print the AS_n coefficient matrix", cmd_matrix)
 
     p = add_command("bounds", "local hidden variable bound of AS_n", cmd_bounds)
@@ -294,11 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = add_command("lhs", "steering (local hidden state) bound over Bob's directions", cmd_lhs)
-    p.add_argument(
-        "--directions",
-        type=Path,
-        help="JSON directions file {n, bob, alice?, notes?}; default is the built-in catalog",
-    )
+    add_directions(p)
     p.add_argument(
         "--oracle",
         action="store_true",
@@ -306,19 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = add_command("thresholds", "Werner visibility thresholds for AS_n", cmd_thresholds)
-    p.add_argument("--directions", type=Path, help="JSON directions file (default: catalog)")
+    add_directions(p)
     p.add_argument(
         "--quantum-max",
         choices=("closed-form", "seesaw"),
         default="closed-form",
         help="source of the quantum maximum used as denominator",
     )
-    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    p.add_argument("--seed", type=int, default=0)
+    add_restarts_and_seed(p)
 
     p = add_command("seesaw", "multistart see-saw maximization of the quantum value", cmd_seesaw)
-    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    p.add_argument("--seed", type=int, default=0)
+    add_restarts_and_seed(p)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--trajectory", action="store_true", help="include per-half-step values")

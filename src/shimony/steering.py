@@ -168,12 +168,12 @@ def _sweep_candidates(gen: np.ndarray, d: np.ndarray, window: float) -> np.ndarr
 def _lhs_witness(w: np.ndarray) -> np.ndarray:
     """Alice's smallest assignment within STEERING_TIE_TOL of max_A ||A @ w||.
 
-    Zero rows take -1 and drop out first; the other rows are solved alone.
-    The maximum is a vertex of the zonotope sum_i [-w_i, w_i], so only its
-    O(n**2) vertices are scored, as the great-circle sweep finds them
-    (`_sweep_candidates`). Every row, however short, goes through the sweep,
-    after parallel and antiparallel rows are merged, each oriented along
-    its group's first row.
+    Every row of w has nonzero norm: the caller gives -1 to the rows of norm
+    0, which `_generators` marks, and passes the others. The maximum is a
+    vertex of the zonotope sum_i [-w_i, w_i], so only its O(n**2) vertices
+    are scored, as the great-circle sweep finds them (`_sweep_candidates`).
+    Every row, however short, goes through the sweep, after parallel and
+    antiparallel rows are merged, each oriented along its group's first row.
 
     Every candidate is then scored again as a @ w, so ties are decided on
     resultants summed in one way whatever the sweep's order of summation.
@@ -183,12 +183,6 @@ def _lhs_witness(w: np.ndarray) -> np.ndarray:
     (-1 < +1) is the witness.
     """
     squares = np.einsum("ij,ij->i", w, w)
-    zero = squares == 0
-    if zero.any():
-        a = -np.ones(len(w), dtype=np.int64)
-        if not zero.all():
-            a[~zero] = _lhs_witness(w[~zero])
-        return a
     norms = np.sqrt(squares)
     gen, d = w, w / norms[:, None]
     merged = _merge_parallel(d)
@@ -221,25 +215,28 @@ def _lhs_witness(w: np.ndarray) -> np.ndarray:
     return starts[np.lexsort(starts.T[::-1])[0]].astype(np.int64)
 
 
-def _generators(m, bob) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Validated m and bob, the generators w = m @ bob and the row norms of w."""
+def _generators(m, bob) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validated m and bob, w = m @ bob, its row norms, and kept: the rows of norm > 0."""
     m = as_coefficient_matrix(m)
     bob = as_measurement_set(bob, len(m))
     require_steering_size(len(m))
     w = m.astype(np.float64) @ bob
-    return m, bob, w, np.linalg.norm(w, axis=1)
+    norms = np.linalg.norm(w, axis=1)
+    return m, bob, w, norms, norms > 0
 
 
 def steering_lhs_bound(m, bob) -> SteeringBoundResult:
     """Exact LHS bound over fixed Bob directions, from the zonotope's vertices.
 
     Ties resolve to the lexicographically smallest witness (within
-    STEERING_TIE_TOL on the norm, -1 < +1). The value is recomputed from the
-    witness's integer column sums, so it does not depend on how the
-    candidates' resultants were summed.
+    STEERING_TIE_TOL on the norm, -1 < +1), which is -1 on the rows of norm 0.
+    The value is recomputed from the witness's integer column sums, so it
+    does not depend on how the candidates' resultants were summed.
     """
-    m, bob, w, norms = _generators(m, bob)
-    alice = _lhs_witness(w)
+    m, bob, w, norms, kept = _generators(m, bob)
+    alice = -np.ones(len(w), dtype=np.int64)
+    if kept.any():
+        alice[kept] = _lhs_witness(w[kept])
     column_sums = alice @ m
     resultant = column_sums.astype(np.float64) @ bob
     norm = float(np.linalg.norm(resultant))
@@ -270,10 +267,8 @@ def steering_lhs_bound_oracle(m, bob) -> float:
     are dropped and the rest split four ways. A cap that no circle crosses
     has equal ends, so the search ends within 1e-12 of C_LHS, relative.
     """
-    _, _, w, lengths = _generators(m, bob)
-    # The rows kept are those _lhs_witness does not set to -1: a norm and a sum of
-    # squares are both 0 exactly when every component's square rounds to 0.
-    w, lengths = w[lengths > 0], lengths[lengths > 0]
+    _, _, w, lengths, kept = _generators(m, bob)
+    w, lengths = w[kept], lengths[kept]
     block = _ORACLE_BLOCK_PRODUCTS // max(1, len(w))
     triangles, best = _OCTAHEDRON, 0.0
     while len(triangles):
@@ -305,8 +300,9 @@ def steering_lhs_bound_oracle(m, bob) -> float:
 class ThresholdPair:
     """Werner visibility thresholds of one order and Bob set, with their bounds.
 
-    c_lhv is matrices.lhv_bound's value: the closed form for AS_n, the scan
-    for any other matrix. v_lhv = c_lhv / quantum_max and v_lhs = lhs.value /
+    c_lhv is matrices.lhv_bound's value in werner_thresholds (the closed form
+    for AS_n, the scan for any other matrix) and lhv_bound_closed_form(n) in
+    the CLI, equal for AS_n. v_lhv = c_lhv / quantum_max and v_lhs = lhs.value /
     quantum_max. When Q(b) (lhs.quantum_value) falls short of quantum_max
     (below_quantum_max), the Bob set steers only above v_lhs_fixed_bob =
     lhs.value / Q(b); otherwise v_lhs_fixed_bob is v_lhs.

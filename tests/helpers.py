@@ -1,5 +1,6 @@
 """Small shared utilities for the test suite."""
 
+import re
 from math import cos, sin, sqrt
 
 import numpy as np
@@ -147,3 +148,14 @@ def icosahedron_axes() -> np.ndarray:
 def dodecahedron_axes() -> np.ndarray:
     """The dodecahedron's 10 vertex axes: the cube's diagonals, (0, +-1/phi, phi) and shifts."""
     return np.concatenate((cube_diagonals(), _cyclic([(0, 1 / _PHI, _PHI), (0, -1 / _PHI, _PHI)])))
+
+
+def pretty_cells(lines) -> dict:
+    """Cell by column name of a pretty table's header, dash and value lines.
+
+    The dashes under each header mark the extent of its column, so columns
+    that the README's excerpt elides with "..." drop out.
+    """
+    header, dashes, values = lines
+    spans = [match.span() for match in re.finditer(r"-+", dashes)]
+    return {header[a:b].strip(): values[a:b].strip() for a, b in spans}

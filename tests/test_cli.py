@@ -12,12 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import entry_to_dict, random_unit_rows, regular_polygon_set, underflow_bob_set
+from helpers import (
+    entry_to_dict,
+    pretty_cells,
+    random_unit_rows,
+    regular_polygon_set,
+    underflow_bob_set,
+)
 from shimony import catalog, cli
 from shimony.catalog import SUPPORTED_SETTINGS, catalog_directions, verify_directions
 from shimony.matrices import build_as_matrix
 from shimony.output import OutputDocument, round_sig
-from shimony.seesaw import random_measurement_set
+from shimony.seesaw import DEFAULT_RESTARTS, random_measurement_set
 from shimony.steering import (
     steering_lhs_bound,
     steering_lhs_bound_oracle,
@@ -151,9 +157,7 @@ def _threshold_cells(out: str, fmt: str) -> dict:
     lines = out.splitlines()
     if fmt == "csv":
         return dict(zip(lines[0].split(","), lines[1].split(",")))
-    # pretty: the dashes under each header mark the extent of its column
-    spans = [(m.start(), m.end()) for m in re.finditer(r"-+", lines[1])]
-    return {lines[0][a:b].strip(): lines[2][a:b].strip() for a, b in spans}
+    return pretty_cells(lines[:3])
 
 
 @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
@@ -220,6 +224,29 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     assert cached == fresh
     assert [code for code, _, _ in cached] == [0, 2, 0, 2, 0, 0, 0, 2, 0]
     assert cached[5][1].startswith("shimony ")
+
+
+def help_entry(capsys, command, option):
+    """The help text of command's option, with its whitespace collapsed."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    (entry,) = re.findall(rf"\n  {option}\b[^\n]*?(?:  |\n)(.*?)(?=\n  -|\Z)", out, re.S)
+    return " ".join(entry.split())
+
+
+def test_shared_options_match_across_commands(capsys):
+    # Each option that two commands share is defined once, so its help text,
+    # type and default cannot drift apart between them.
+    lhs = help_entry(capsys, "lhs", "--directions")
+    assert lhs == help_entry(capsys, "thresholds", "--directions")
+    assert "{n, bob, alice?, notes?}" in lhs
+    parser = cli.build_parser()
+    for given, expected in [([], (DEFAULT_RESTARTS, 0)), (["--restarts", "3", "--seed", "7"], (3, 7))]:
+        for command in ("thresholds", "seesaw"):
+            args = parser.parse_args([command, "4", *given])
+            assert (args.restarts, args.seed) == expected
 
 
 # The values a shared catalog entry computes on first use and then keeps.

@@ -65,9 +65,17 @@ def steering_max(
 
 
 def vertex_max(m, bob) -> tuple[float, int]:
-    """The sweep's witness on w = m @ bob: its norm and enumeration index."""
+    """The sweep's witness on w = m @ bob: its norm and enumeration index.
+
+    As in steering_lhs_bound, rows whose squares sum to 0 take -1 and the
+    sweep solves the rest.
+    """
     m = np.asarray(m)
-    alice = steering._lhs_witness(m.astype(np.float64) @ np.asarray(bob, dtype=np.float64))
+    w = m.astype(np.float64) @ np.asarray(bob, dtype=np.float64)
+    kept = np.einsum("ij,ij->i", w, w) > 0
+    alice = -np.ones(len(w), dtype=np.int64)
+    if kept.any():
+        alice[kept] = steering._lhs_witness(w[kept])
     assert alice.dtype == np.int64 and np.all(np.abs(alice) == 1)
     index = int("".join("1" if a > 0 else "0" for a in alice), 2)
     return float(np.linalg.norm((alice @ m).astype(np.float64) @ bob)), index
