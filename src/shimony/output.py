@@ -75,19 +75,12 @@ class OutputDocument:
     def to_json(self) -> str:
         body = {
             "command": self.command,
-            "metadata": json_ready(self.metadata),
-            "tables": [
-                {
-                    "name": t.name,
-                    "columns": list(t.columns),
-                    "rows": json_ready(t.rows),
-                }
-                for t in self.tables
-            ],
-            "notes": list(self.notes),
+            "metadata": self.metadata,
+            "tables": [{"name": t.name, "columns": t.columns, "rows": t.rows} for t in self.tables],
+            "notes": self.notes,
+            **self.extra,
         }
-        body.update(json_ready(self.extra))
-        return json.dumps(body, indent=2)
+        return json.dumps(json_ready(body), indent=2)
 
     def _table_csv(self, table: Table) -> str:
         buffer = io.StringIO()

@@ -165,11 +165,11 @@ def _sweep_candidates(gen: np.ndarray, d: np.ndarray, window: float) -> np.ndarr
     return patterns
 
 
-def _lhs_witness(w: np.ndarray) -> np.ndarray:
+def _lhs_witness(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Alice's smallest assignment within STEERING_TIE_TOL of max_A ||A @ w||.
 
-    Every row of w has nonzero norm: the caller gives -1 to the rows of norm
-    0, which `_generators` marks, and passes the others. The maximum is a
+    The caller gives -1 to the rows of norm 0, which `_generators` marks, and
+    passes the others with their norms as it takes them. The maximum is a
     vertex of the zonotope sum_i [-w_i, w_i], so only its O(n**2) vertices
     are scored, as the great-circle sweep finds them (`_sweep_candidates`).
     Every row, however short, goes through the sweep, after parallel and
@@ -182,8 +182,6 @@ def _lhs_witness(w: np.ndarray) -> np.ndarray:
     stays within the tolerance. The smallest result in lexicographic order
     (-1 < +1) is the witness.
     """
-    squares = np.einsum("ij,ij->i", w, w)
-    norms = np.sqrt(squares)
     gen, d = w, w / norms[:, None]
     merged = _merge_parallel(d)
     if merged is not None:
@@ -203,7 +201,7 @@ def _lhs_witness(w: np.ndarray) -> np.ndarray:
     tied = lengths >= floor
     a, r, lengths = a[tied], r[tied], lengths[tied]
     # Flipping row k of a, or of its mirror -a, leaves ||r - 2 a_k w_k||**2.
-    flips = lengths[:, None] + 4 * squares - 4 * a * (r @ w.T) >= floor
+    flips = lengths[:, None] + 4 * norms**2 - 4 * a * (r @ w.T) >= floor
     starts = np.concatenate((a, -a))
     flips = np.concatenate((flips, flips)) & (starts > 0)
     r = np.concatenate((r, -r))
@@ -216,7 +214,7 @@ def _lhs_witness(w: np.ndarray) -> np.ndarray:
 
 
 def _generators(m, bob) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Validated m and bob, w = m @ bob, its row norms, and kept: the rows of norm > 0."""
+    """Validated m and bob, w = m @ bob, the only row norms of w, and kept: norms > 0."""
     m = as_coefficient_matrix(m)
     bob = as_measurement_set(bob, len(m))
     require_steering_size(len(m))
@@ -236,7 +234,7 @@ def steering_lhs_bound(m, bob) -> SteeringBoundResult:
     m, bob, w, norms, kept = _generators(m, bob)
     alice = -np.ones(len(w), dtype=np.int64)
     if kept.any():
-        alice[kept] = _lhs_witness(w[kept])
+        alice[kept] = _lhs_witness(w[kept], norms[kept])
     column_sums = alice @ m
     resultant = column_sums.astype(np.float64) @ bob
     norm = float(np.linalg.norm(resultant))

@@ -7,6 +7,8 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from shimony import _kernels, steering
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -159,3 +161,29 @@ def pretty_cells(lines) -> dict:
     header, dashes, values = lines
     spans = [match.span() for match in re.finditer(r"-+", dashes)]
     return {header[a:b].strip(): values[a:b].strip() for a, b in spans}
+
+
+def steering_max(
+    m: np.ndarray, bob: np.ndarray, tie_tol: float = steering.STEERING_TIE_TOL
+) -> tuple[float, int]:
+    """Max over assignments of ||sum_j c_j b_j||, smallest index within tie_tol."""
+    w = np.asarray(m, dtype=np.float64) @ np.asarray(bob, dtype=np.float64)
+    high, low, lo = _kernels._halves(w)
+    step = max(1, _kernels._BLOCK_ASSIGNMENTS >> lo)
+    starts = range(0, high.shape[1], step)
+
+    def block_norms(start: int) -> np.ndarray:
+        r = high[:, start : start + step, None] + low[:, None, :]
+        r *= r
+        return np.sqrt(r.sum(axis=0)).ravel()
+
+    # Pass 1 records each block's maximum; pass 2 rescans only the first
+    # block that reaches the tie threshold, which holds the smallest index.
+    block_best = [float(block_norms(start).max()) for start in starts]
+    threshold = max(block_best) - tie_tol
+    for start, value in zip(starts, block_best):
+        if value >= threshold:
+            norms = block_norms(start)
+            k = int(np.nonzero(norms >= threshold)[0][0])
+            return float(norms[k]), (start << lo) + k
+    raise AssertionError("maximum vanished between passes")

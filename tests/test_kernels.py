@@ -1,8 +1,8 @@
 """The LHV kernel and the steering bound's great-circle sweep against brute-force references.
 
-Two references: an itertools.product brute force, and `steering_max`, the
-2**n meet-in-the-middle steering kernel that the library once used, kept
-here unchanged as the reference for n <= 20.
+Two references: an itertools.product brute force, and `helpers.steering_max`,
+the 2**n meet-in-the-middle steering kernel that the library once used, kept
+unchanged as the reference for n <= 20.
 """
 
 import itertools
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import direction_rows, drawn_array, random_unit_rows, scaled_to_unit
+from helpers import direction_rows, drawn_array, random_unit_rows, scaled_to_unit, steering_max
 from shimony import _kernels, steering
 from shimony.catalog import catalog_directions
 from shimony.matrices import build_as_matrix
@@ -38,44 +38,19 @@ def reference_steering(m, bob, tie_tol=steering.STEERING_TIE_TOL):
     return float(norms[index]), index
 
 
-def steering_max(
-    m: np.ndarray, bob: np.ndarray, tie_tol: float = steering.STEERING_TIE_TOL
-) -> tuple[float, int]:
-    """Max over assignments of ||sum_j c_j b_j||, smallest index within tie_tol."""
-    w = np.asarray(m, dtype=np.float64) @ np.asarray(bob, dtype=np.float64)
-    high, low, lo = _kernels._halves(w)
-    step = max(1, _kernels._BLOCK_ASSIGNMENTS >> lo)
-    starts = range(0, high.shape[1], step)
-
-    def block_norms(start: int) -> np.ndarray:
-        r = high[:, start : start + step, None] + low[:, None, :]
-        r *= r
-        return np.sqrt(r.sum(axis=0)).ravel()
-
-    # Pass 1 records each block's maximum; pass 2 rescans only the first
-    # block that reaches the tie threshold, which holds the smallest index.
-    block_best = [float(block_norms(start).max()) for start in starts]
-    threshold = max(block_best) - tie_tol
-    for start, value in zip(starts, block_best):
-        if value >= threshold:
-            norms = block_norms(start)
-            k = int(np.nonzero(norms >= threshold)[0][0])
-            return float(norms[k]), (start << lo) + k
-    raise AssertionError("maximum vanished between passes")
-
-
 def vertex_max(m, bob) -> tuple[float, int]:
     """The sweep's witness on w = m @ bob: its norm and enumeration index.
 
-    As in steering_lhs_bound, rows whose squares sum to 0 take -1 and the
-    sweep solves the rest.
+    As in steering._generators, the row norms are np.linalg.norm's, rows of
+    norm 0 take -1, and the sweep solves the rest with their norms.
     """
     m = np.asarray(m)
     w = m.astype(np.float64) @ np.asarray(bob, dtype=np.float64)
-    kept = np.einsum("ij,ij->i", w, w) > 0
+    norms = np.linalg.norm(w, axis=1)
+    kept = norms > 0
     alice = -np.ones(len(w), dtype=np.int64)
     if kept.any():
-        alice[kept] = steering._lhs_witness(w[kept])
+        alice[kept] = steering._lhs_witness(w[kept], norms[kept])
     assert alice.dtype == np.int64 and np.all(np.abs(alice) == 1)
     index = int("".join("1" if a > 0 else "0" for a in alice), 2)
     return float(np.linalg.norm((alice @ m).astype(np.float64) @ bob)), index

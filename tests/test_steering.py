@@ -15,6 +15,7 @@ from helpers import (
     random_unit_rows,
     regular_polygon_set,
     scaled_to_unit,
+    steering_max,
     underflow_bob_set,
 )
 from shimony.catalog import catalog_directions
@@ -223,6 +224,25 @@ def test_maximum_found_only_as_the_short_end_of_its_arcs():
     assert result.alice_witness.tolist() == [-1, 1, 1, 1, 1, 1]
     assert result.column_sums.tolist() == [-2, -3, 11, 0, 0, 0]
     assert result.value == math.sqrt(134)
+
+
+def test_witness_reads_the_row_norms_of_the_generator_set():
+    # On 4 of the 6 rows of w = m @ bob, sqrt of the einsum of squares and
+    # np.linalg.norm differ in the last bit: Bob set 347 has the most such
+    # rows of seeds 0..999 at n = 4, 6, 8. The witness's window and flip test
+    # read the norms that Q(b) sums, and the result is the 2**n kernel's.
+    m = build_as_matrix(6)
+    bob = random_measurement_set(6, 347)
+    w = m @ bob
+    norms = np.linalg.norm(w, axis=1)
+    assert np.count_nonzero(np.sqrt(np.einsum("ij,ij->i", w, w)) != norms) >= 3
+    result = steering_lhs_bound(m, bob)
+    value, index = steering_max(m, bob)
+    assert result.alice_witness.tolist() == [1 if c == "1" else -1 for c in f"{index:06b}"]
+    assert result.value == pytest.approx(value, rel=1e-15, abs=0)
+    assert result.quantum_value == norms.sum()
+    best = bell_quantum_value(m, alice_best_response(m, bob), bob)
+    assert result.quantum_value == pytest.approx(best, rel=1e-12, abs=0)
 
 
 def test_thresholds_n2_and_n4():
