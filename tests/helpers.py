@@ -85,6 +85,34 @@ def direction_rows(k: int):
     return drawn_array(np.float64, (k, 3), st.floats(-1.0, 1.0))
 
 
+# One row of direction_rows, as a tuple.
+DIRECTION_ROW = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+def square_rows(draw, *row_extras, max_n: int = 20):
+    """Draw an (n, n) integer matrix with entries in [-3, 3], n = 1..max_n, row by row.
+
+    Each row is a tuple of a label, max_n entries and one value per strategy
+    in row_extras; entry (i, j) is row i's entry at row j's label. Labels are
+    distinct, so deleting a row deletes its column too and leaves every other
+    entry and extra value where it was: the shrinker can remove rows, which
+    it seldom manages when n is drawn first. The rows come from two lists,
+    with labels below max_n // 2 and from it, so that n passes one list's
+    typical length of about 6 more often; it still runs lower than a drawn
+    n did. Every (n, n) matrix is reachable. Returns the matrix and, per
+    extra strategy, its n values.
+    """
+    entries = st.tuples(*[st.integers(-3, 3)] * max_n)
+    half = max_n // 2
+    rows = []
+    for labels, min_size in ((st.integers(0, half - 1), 1), (st.integers(half, max_n - 1), 0)):
+        row = st.tuples(labels, entries, *row_extras)
+        rows += draw(st.lists(row, min_size=min_size, max_size=half, unique_by=lambda r: r[0]))
+    labels = [row[0] for row in rows]
+    m = np.array([[row[1][label] for label in labels] for row in rows], dtype=np.int64)
+    return (m, *(list(column) for column in list(zip(*rows))[2:]))
+
+
 def scaled_to_unit(rows) -> np.ndarray:
     """rows over their norms; a row shorter than 1e-100, whose squares may underflow, is +x."""
     rows = np.array(rows, dtype=np.float64)

@@ -13,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import direction_rows, drawn_array, random_unit_rows, scaled_to_unit, steering_max
+from helpers import (
+    DIRECTION_ROW,
+    chained_matrix,
+    direction_rows,
+    random_unit_rows,
+    scaled_to_unit,
+    square_rows,
+    steering_max,
+)
 from shimony import _kernels, steering
 from shimony.catalog import catalog_directions
 from shimony.matrices import build_as_matrix
@@ -102,9 +110,92 @@ def assert_steering_matches(m, bob, tie_tol=steering.STEERING_TIE_TOL, brute_for
     assert index < 1 << (len(m) - 1)
 
 
-@pytest.mark.parametrize("n", range(2, 14, 2))
+@pytest.mark.parametrize("n", range(2, 18, 2))
 def test_lhv_matches_reference_on_as(n):
     assert_lhv_matches(build_as_matrix(n))
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_lhv_matches_reference_on_chained_matrices(n):
+    # Every high row but the last is zero on the two mixed columns, so the
+    # scan keeps two high indices; the chained functional's bound is 2n - 2.
+    m = chained_matrix(n)
+    assert_lhv_matches(m)
+    assert _kernels.lhv_max(m)[0] == 2 * n - 2
+    assert len(scanned_high_indices(m)) == 2
+
+
+def scanned_high_indices(m):
+    """The high indices lhv_max scores on m, in the order it scores them."""
+    seen = []
+
+    def spy(*args):
+        seen.append(representatives(*args))
+        return seen[-1]
+
+    representatives = _kernels._representatives
+    with mock.patch.object(_kernels, "_representatives", spy):
+        _kernels.lhv_max(m)
+    (scanned,) = seen
+    return scanned
+
+
+@pytest.mark.parametrize("n", range(4, 26, 2))
+def test_as_scan_keeps_one_high_index_per_count_of_plus_rows(n):
+    # The n/2 - 1 high rows of AS_n are all ones on the mixed columns: one
+    # class per count of +1 rows among them.
+    scanned = scanned_high_indices(build_as_matrix(n))
+    assert len(scanned) == n // 2
+    assert np.all(np.diff(scanned) > 0)
+
+
+@pytest.mark.parametrize("n", [8, 16, 19])
+def test_dense_scan_keeps_every_high_index(n):
+    m = np.random.default_rng(n).integers(-2, 3, size=(n, n))
+    assert np.array_equal(scanned_high_indices(m), np.arange(1 << (n - 1 - n // 2)))
+
+
+def planted_group_matrix(rng, n, scale):
+    """High rows equal on the mixed columns in groups, with other high-only parts.
+
+    About a third of the columns have no entry in the low rows. Each planted
+    high row copies a group leader's mixed part and draws its high-only part
+    from {-1, 0, 1}, or copies the leader's or zeroes it, so the folded high
+    row ties often; some high rows are zero on the mixed columns.
+    """
+    lo = n // 2
+    m = rng.integers(-2, 3, size=(n, n))
+    high_only = rng.random(n) < 0.35
+    m[n - lo :, high_only] = 0
+    high_rows = np.arange(1, n - lo)
+    leaders = rng.choice(high_rows, size=min(2, len(high_rows)), replace=False)
+    for r in high_rows:
+        kind = rng.integers(5)
+        leader = leaders[rng.integers(len(leaders))]
+        if kind < 3:
+            m[r, ~high_only] = m[leader, ~high_only]
+        if kind == 0:
+            m[r, high_only] = rng.integers(-1, 2, size=high_only.sum())
+        elif kind == 1:
+            m[r, high_only] = m[leader, high_only]
+        elif kind == 2:
+            m[r, high_only] = 0
+        elif kind == 3:
+            m[r, ~high_only] = 0
+    return scale * m
+
+
+@pytest.mark.parametrize("block", [_kernels._BLOCK_ASSIGNMENTS, 1, 4])
+@pytest.mark.parametrize("scale", [1, 20000], ids=["int16", "int64"])
+def test_lhv_matches_reference_on_planted_groups(monkeypatch, block, scale):
+    monkeypatch.setattr(_kernels, "_BLOCK_ASSIGNMENTS", block)
+    rng = np.random.default_rng(block + scale)
+    for n in range(3, 15):
+        for _ in range(6 if n <= 10 else 2):
+            m = planted_group_matrix(rng, n, scale)
+            bound = n * int(np.abs(m).sum(axis=1).max())
+            assert (bound > np.iinfo(np.int16).max) == (scale > 1) or not m.any()
+            assert_lhv_matches(m)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -231,6 +322,14 @@ def kernel_inputs(draw):
     for _ in range(draw(st.integers(0, 2))):
         rows = draw(st.sampled_from([slice(None), slice(0, n - lo), slice(n - lo, n)]))
         m[rows, draw(st.integers(0, n - 1))] = 0
+    # High rows (1..n-lo-1) that copy one high row on the mixed columns share
+    # the scan's classes of equal mixed-column sums.
+    if n - lo > 2:
+        mixed = m[: n - lo].any(axis=0) & m[n - lo :].any(axis=0)
+        high_row = st.integers(1, n - lo - 1)
+        source = draw(high_row)
+        for target in draw(st.lists(high_row, max_size=n - lo - 1)):
+            m[target, mixed] = m[source, mixed]
     # Small integer directions give exact ties, repeats, antipodes and
     # coplanar sets often.
     raw = draw(
@@ -286,28 +385,31 @@ def degenerate_inputs(draw):
     coplanar, collinear (+-b), repeated (one direction), clustered within
     1e-7 to 1e-11 of one direction (nearly parallel rows that are not
     merged) or drawn from small integer vectors, which makes exact ties and
-    coplanar triples common. Every number is drawn through Hypothesis, so a
-    failure shrinks, and the arrays are returned as lists, whose repr is
-    exact, so the printed example replays.
+    coplanar triples common. Every number is drawn through Hypothesis, each
+    row's numbers together, so a failure shrinks row by row, and the arrays
+    are returned as lists, whose repr is exact, so the printed example
+    replays.
     """
-    n = draw(st.integers(1, 20))
+    m, directions, integers, signs = square_rows(
+        draw, DIRECTION_ROW, st.tuples(*[st.integers(-2, 2)] * 3), st.sampled_from([-1.0, 1.0])
+    )
+    n = len(m)
     row = st.integers(0, n - 1)
-    m = draw(drawn_array(np.int64, (n, n), st.integers(-3, 3)))
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(row), draw(row)
         m[i] = draw(st.sampled_from([0, 1, -1, 2])) * m[j]
     kinds = ["random", "coplanar", "collinear", "repeated", "clustered", "integer"]
     kind = draw(st.sampled_from(kinds))
     if kind == "integer":
-        bob = draw(drawn_array(np.int64, (n, 3), st.integers(-2, 2))).astype(np.float64)
+        bob = np.array(integers, dtype=np.float64)
         bob[~bob.any(axis=1)] = [0.0, 0.0, 1.0]
     else:
-        bob = draw(direction_rows(n))
+        bob = np.array(directions)
         if kind == "coplanar":
             bob[:, 2] = 0.0
         bob = scaled_to_unit(bob)
         if kind == "collinear":
-            bob = draw(drawn_array(np.float64, (n, 1), st.sampled_from([-1.0, 1.0]))) * bob[0]
+            bob = np.array(signs)[:, None] * bob[0]
         elif kind == "repeated":
             bob[:] = bob[0]
         elif kind == "clustered":

@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    DIRECTION_ROW,
     direction_rows,
-    drawn_array,
     random_rotation,
     random_unit_rows,
     regular_polygon_set,
     scaled_to_unit,
+    square_rows,
     steering_max,
     underflow_bob_set,
 )
@@ -472,14 +473,15 @@ def thin_cell_inputs(draw):
     w. Rows e_j - e_k over nearly equal b_j, b_k have norm about 1e-13; zero
     rows, the all-zero matrix and coplanar sets are drawn too. Row 0 stays all
     ones, as in AS_n, so a nonzero bound is never only a rounding residue of
-    rows that all cancel. Every number is drawn through Hypothesis and the
-    arrays are returned as lists, so a failure shrinks and replays as printed.
+    rows that all cancel. Every number is drawn through Hypothesis, each row's
+    numbers together, and the arrays are returned as lists, so a failure
+    shrinks row by row and replays as printed.
     """
-    n = draw(st.integers(1, 20))
-    m = draw(drawn_array(np.int64, (n, n), st.integers(-3, 3)))
+    m, offsets = square_rows(draw, DIRECTION_ROW)
+    n = len(m)
     m[0] = 1
     spread = draw(st.sampled_from([1.0, 1e-3, 1e-7, 1e-13]))
-    bob = scaled_to_unit(draw(direction_rows(1))) + spread * draw(direction_rows(n))
+    bob = scaled_to_unit(draw(direction_rows(1))) + spread * np.array(offsets)
     eye = np.eye(n, dtype=np.int64)
     for i in range(draw(st.integers(0, min(3, n // 2)))):
         bob[2 * i + 1] = bob[2 * i] + 1e-13 * draw(direction_rows(1))[0]
