@@ -5,7 +5,7 @@ Assignments are indexed so that bit n-1-i holds Alice setting i (clear bit is
 keeps the smallest maximizing index and returns its assignment, read from the
 sign tables it was scored with.
 
-Four exact reductions keep the scan cheap without changing any result:
+Three exact reductions keep the scan cheap without changing any result:
 
 * Sign symmetry. A and -A score the same, and of each pair the smaller index
   has setting 0 = -1, so the smallest maximizer lies below 2**(n-1). Only that
@@ -14,27 +14,30 @@ Four exact reductions keep the scan cheap without changing any result:
   settings split into a high prefix and the last `lo` settings. A table over
   each half holds its integer column sums, so an assignment costs one add and
   a reduction over n entries instead of an n x n product.
-* Fewer bytes and fewer columns per assignment. Every table entry and score
-  is bounded by n * max_i sum_j |m_ij|, so the scan runs in int16 when that
-  bound fits (every AS_n under the 24-setting cap), else in int64. A column
-  with no entry in the low rows scores |high[j, h]| whatever the low half is
-  (and one with no entry in the high rows |low[j, l]|): such columns are
-  summed once into one nonnegative row per table, and only the mixed columns
-  and that row enter each block.
-* One high index per class of equal mixed-column sums. High rows (settings
-  1..n-lo-1) that are equal on the mixed columns add the same vector there,
-  and one that is zero there adds nothing, so the mixed sums of high index h
-  depend only on how many rows of each group of equal nonzero rows are +1 in
-  h. Against any low index l, two indices of one class then score the same
-  but for the folded high row fh: the one with the smaller fh loses, and on
-  a tie the larger index is not the smallest. So only the first h with the
-  largest fh of its class can be the smallest maximizer. Those
+* One high index per class of equal sums on the low-row columns, those with
+  an entry in the low rows. A column with no entry in the low rows adds
+  |high[j, h]| to every score of high index h, whatever the low half is, so
+  it belongs to h's high-only score fh. A column with no entry in the high
+  rows has high[j, h] = 0 and scores |low[j, l]| in the block. High rows
+  (settings 1..n-lo-1) that are equal on the low-row columns add the same
+  vector there, and one that is zero there adds nothing, so the low-row sums
+  of h depend only on how many rows of each group of equal nonzero rows are
+  +1 in h. Every high row is zero on a column with no entry in the high
+  rows, so these groups are those of equal rows on the mixed columns, which
+  have entries in both halves. Against any low index l, two indices of one
+  class then score the same but for fh: the one with the smaller fh loses,
+  and on a tie the larger index is not the smallest. So only the first h
+  with the largest fh of its class can be the smallest maximizer. Those
   representatives are scanned in ascending order with the same blocks, the
   first maximum within a block and a strict > across blocks, so the value
   and the witness are those of the full scan. Every high row of AS_n is all
   ones on its mixed columns, which leaves n/2 of its 2**(n/2-1) high
   indices; a matrix whose high rows are distinct and nonzero there keeps all
   of them.
+
+Every table entry and score is bounded by n * max_i sum_j |m_ij|, so the scan
+runs in int16, two bytes per entry, when that bound fits (every AS_n under the
+24-setting cap), else in int64.
 """
 
 from __future__ import annotations
@@ -78,30 +81,12 @@ def _halves(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return high, low, lo
 
 
-def _fold_one_half_columns(
-    high: np.ndarray, low: np.ndarray, mixed: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The tables with the columns that are not mixed folded into one row each.
+def _representatives(rows: np.ndarray, high_only: np.ndarray) -> np.ndarray:
+    """Ascending high indices, the first with the largest high_only score of each class.
 
-    A column with no entry in the low rows has low[j, l] = 0 and scores
-    |high[j, h]| whatever the low half is, and one with no entry in the high
-    rows scores |low[j, l]|. The folded high row sums the |high[j, h]| over the
-    columns that are not mixed and the folded low row the |low[j, l]|; both are
-    nonnegative, so |high + low| on them is their sum and no score changes.
-    """
-    if mixed.all():
-        return high, low
-    folded_high = np.abs(high[~mixed]).sum(axis=0)
-    folded_low = np.abs(low[~mixed]).sum(axis=0)
-    return np.vstack([high[mixed], folded_high]), np.vstack([low[mixed], folded_low])
-
-
-def _representatives(rows: np.ndarray, folded_high: np.ndarray) -> np.ndarray:
-    """Ascending high indices, the first with the largest folded_high of each class.
-
-    rows are the high rows (settings 1..n-lo-1) on the mixed columns. Two high
-    indices share a class when every group of equal nonzero rows has as many
-    +1 rows in both; their mixed-column sums are then equal.
+    rows are the high rows (settings 1..n-lo-1) on the low-row columns. Two
+    high indices share a class when every group of equal nonzero rows has as
+    many +1 rows in both; their sums on those columns are then equal.
     """
     k = rows.shape[0]
     # Each group counts its +1 rows in its own digit, base k + 1; zero rows
@@ -111,12 +96,8 @@ def _representatives(rows: np.ndarray, folded_high: np.ndarray) -> np.ndarray:
         (k + 1) ** digits.setdefault(row, len(digits)) if any(row) else 0
         for row in map(tuple, rows.tolist())
     ]
-    # Distinct nonzero rows leave every class one index; returning before the
-    # sort keeps a dense matrix, which cuts nothing, within a few % of the full scan.
-    if len(digits) == k:
-        return np.arange(1 << k)
     classes = np.array(weights, dtype=np.int64) @ ((_signs(k) + 1) >> 1)
-    order = np.lexsort((-folded_high, classes))  # stable: ascending h on ties
+    order = np.lexsort((-high_only, classes))  # stable: ascending h on ties
     first = np.ones(order.size, dtype=bool)
     first[1:] = classes[order[1:]] != classes[order[:-1]]
     return np.sort(order[first])
@@ -131,14 +112,11 @@ def lhv_max(m: np.ndarray) -> tuple[int, np.ndarray]:
     bound = n * int(np.abs(m).sum(axis=1).max())
     dtype = np.int16 if bound <= _INT16_MAX else np.int64
     high, low, lo = _halves(m)
-    # The columns with entries in both the high rows (0..n-lo-1) and the low ones.
-    mixed = m[: n - lo].any(axis=0) & m[n - lo :].any(axis=0)
-    high, low = _fold_one_half_columns(high, low, mixed)
-    folded_high = np.zeros(high.shape[1]) if mixed.all() else high[-1]
-    scanned = _representatives(m[1 : n - lo, mixed], folded_high)
-    if scanned.size < high.shape[1]:  # a copy that cuts nothing costs R_16 about 3%
-        high = high[:, scanned]
-    high, low = high.astype(dtype), low.astype(dtype)
+    # The columns with an entry in the low rows; on the others low[j] = 0 and
+    # the score of high index h takes |high[j, h]| whatever the low half is.
+    in_low = m[n - lo :].any(axis=0)
+    scanned = _representatives(m[1 : n - lo, in_low], np.abs(high[~in_low]).sum(axis=0))
+    high, low = high[:, scanned].astype(dtype), low.astype(dtype)
     step = max(1, _BLOCK_ASSIGNMENTS >> lo)
     buf = np.empty((high.shape[0], min(step, high.shape[1]), low.shape[1]), dtype=dtype)
     best = -1

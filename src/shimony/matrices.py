@@ -35,8 +35,8 @@ program over the walk for every even N <= 100 and N = 200, 300, 1000. So
 only for other matrices; `lhv_bound_bruteforce` keeps the scan for any
 matrix as the independent check. The scan covers the 2**(n-1) assignments
 with setting 0 at -1 but scores only one high half per class of equal
-mixed-column sums (`_kernels`): on AS_N that is N/2 * 2**(N/2) of them,
-22,528 of 2,097,152 at N = 22.
+sums on the low-row columns (`_kernels`): on AS_N that is N/2 * 2**(N/2)
+of them, 22,528 of 2,097,152 at N = 22.
 
 Everything in this module is integer arithmetic; bounds are exact.
 """

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shimony import _kernels, steering
+from shimony import steering
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -191,13 +191,31 @@ def pretty_cells(lines) -> dict:
     return {header[a:b].strip(): values[a:b].strip() for a, b in spans}
 
 
+def _sign_table(k: int) -> np.ndarray:
+    """(k, 2**k) float signs: column t holds bit k-1-i of t as row i (clear bit is -1)."""
+    bits = (np.arange(1 << k) >> np.arange(k - 1, -1, -1)[:, None]) & 1
+    return 2.0 * bits - 1.0
+
+
 def steering_max(
-    m: np.ndarray, bob: np.ndarray, tie_tol: float = steering.STEERING_TIE_TOL
+    m: np.ndarray,
+    bob: np.ndarray,
+    tie_tol: float = steering.STEERING_TIE_TOL,
+    block: int = 1 << 14,
 ) -> tuple[float, int]:
-    """Max over assignments of ||sum_j c_j b_j||, smallest index within tie_tol."""
+    """Max over assignments of ||sum_j c_j b_j||, smallest index within tie_tol.
+
+    The 2**(n-1) assignments with setting 0 = -1 are scored `block`
+    assignments at a time, each as high[:, h] + low[:, l] over a table of
+    the first n - lo rows of w = m @ bob and one of the last lo = n // 2, at
+    index (h << lo) | l.
+    """
     w = np.asarray(m, dtype=np.float64) @ np.asarray(bob, dtype=np.float64)
-    high, low, lo = _kernels._halves(w)
-    step = max(1, _kernels._BLOCK_ASSIGNMENTS >> lo)
+    n = len(w)
+    lo = n // 2
+    high = w[1 : n - lo].T @ _sign_table(n - 1 - lo) - w[0][:, None]
+    low = w[n - lo :].T @ _sign_table(lo)
+    step = max(1, block >> lo)
     starts = range(0, high.shape[1], step)
 
     def block_norms(start: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Two references: an itertools.product brute force, and `helpers.steering_max`,
 the 2**n meet-in-the-middle steering kernel that the library once used, kept
-unchanged as the reference for n <= 20.
+as the reference for n <= 20 with its own sign tables.
 """
 
 import itertools
@@ -98,9 +98,11 @@ def assert_lhv_matches(m):
     assert result[1][0] == -1
 
 
-def assert_steering_matches(m, bob, tie_tol=steering.STEERING_TIE_TOL, brute_force=True):
+def assert_steering_matches(
+    m, bob, tie_tol=steering.STEERING_TIE_TOL, brute_force=True, block=1 << 14
+):
     value, index = vertex_max(m, bob)
-    kernel_value, kernel_index = steering_max(m, bob, tie_tol)
+    kernel_value, kernel_index = steering_max(m, bob, tie_tol, block=block)
     assert index == kernel_index
     assert value == pytest.approx(kernel_value, abs=1e-9)
     if brute_force:
@@ -151,6 +153,7 @@ def test_as_scan_keeps_one_high_index_per_count_of_plus_rows(n):
 
 @pytest.mark.parametrize("n", [8, 16, 19])
 def test_dense_scan_keeps_every_high_index(n):
+    # Distinct nonzero high rows give every class one index.
     m = np.random.default_rng(n).integers(-2, 3, size=(n, n))
     assert np.array_equal(scanned_high_indices(m), np.arange(1 << (n - 1 - n // 2)))
 
@@ -160,8 +163,8 @@ def planted_group_matrix(rng, n, scale):
 
     About a third of the columns have no entry in the low rows. Each planted
     high row copies a group leader's mixed part and draws its high-only part
-    from {-1, 0, 1}, or copies the leader's or zeroes it, so the folded high
-    row ties often; some high rows are zero on the mixed columns.
+    from {-1, 0, 1}, or copies the leader's or zeroes it, so the high-only
+    score ties often; some high rows are zero on the mixed columns.
     """
     lo = n // 2
     m = rng.integers(-2, 3, size=(n, n))
@@ -185,17 +188,28 @@ def planted_group_matrix(rng, n, scale):
     return scale * m
 
 
+def zero_low_half_columns_matrix(rng, n, scale):
+    """Entries in [-2, 2] whose low rows are zero on about half the columns."""
+    m = rng.integers(-2, 3, size=(n, n))
+    m[n - n // 2 :, rng.random(n) < 0.5] = 0
+    return scale * m
+
+
 @pytest.mark.parametrize("block", [_kernels._BLOCK_ASSIGNMENTS, 1, 4])
 @pytest.mark.parametrize("scale", [1, 20000], ids=["int16", "int64"])
 def test_lhv_matches_reference_on_planted_groups(monkeypatch, block, scale):
     monkeypatch.setattr(_kernels, "_BLOCK_ASSIGNMENTS", block)
-    rng = np.random.default_rng(block + scale)
-    for n in range(3, 15):
-        for _ in range(6 if n <= 10 else 2):
-            m = planted_group_matrix(rng, n, scale)
-            bound = n * int(np.abs(m).sum(axis=1).max())
-            assert (bound > np.iinfo(np.int16).max) == (scale > 1) or not m.any()
-            assert_lhv_matches(m)
+    draws = {
+        planted_group_matrix: np.random.default_rng(block + scale),
+        zero_low_half_columns_matrix: np.random.default_rng([block, scale]),
+    }
+    for draw, rng in draws.items():
+        for n in range(3, 15):
+            for _ in range(6 if n <= 10 else 2):
+                m = draw(rng, n, scale)
+                bound = n * int(np.abs(m).sum(axis=1).max())
+                assert (bound > np.iinfo(np.int16).max) == (scale > 1) or not m.any()
+                assert_lhv_matches(m)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -212,7 +226,17 @@ def test_lhv_multi_block_as_and_dense():
     assert_lhv_matches(np.random.default_rng(17).integers(-9, 10, size=(17, 17)))
 
 
-@pytest.mark.parametrize("plant", ["zero column", "zero low rows", "zero high rows", "all zero"])
+@pytest.mark.parametrize(
+    "plant",
+    [
+        "zero column",
+        "zero low rows",
+        "zero high rows",
+        "all zero",
+        "upper triangular",
+        "lower triangular",
+    ],
+)
 def test_lhv_multi_block_with_one_half_columns(plant):
     rng = np.random.default_rng(len(plant))
     n = 16
@@ -225,6 +249,10 @@ def test_lhv_multi_block_with_one_half_columns(plant):
         m[n - lo :, cols] = 0
     elif plant == "zero high rows":
         m[: n - lo, cols] = 0
+    elif plant == "upper triangular":
+        m = np.triu(m)
+    elif plant == "lower triangular":
+        m = np.tril(m)
     else:
         m[:] = 0
     assert_lhv_matches(m)
@@ -306,7 +334,7 @@ def test_results_do_not_depend_on_block_size(monkeypatch, block):
         m = random_int_matrix(rng, n)
         assert_lhv_matches(m)
         for kind in ("random", "repeated", "antipodal"):
-            assert_steering_matches(m, bob_set(rng, n, kind))
+            assert_steering_matches(m, bob_set(rng, n, kind), block=block)
     for n in (2, 6, 10, 12):
         assert_lhv_matches(build_as_matrix(n))
 
@@ -345,7 +373,7 @@ def kernel_inputs(draw):
 @given(kernel_inputs(), st.sampled_from([_kernels._BLOCK_ASSIGNMENTS, 1, 4]))
 def test_kernels_match_reference_property(inputs, block):
     m, bob = inputs
-    # Small blocks make the scan span several blocks, which folds columns.
+    # Small blocks make the scan span several blocks.
     with mock.patch.object(_kernels, "_BLOCK_ASSIGNMENTS", block):
         assert_lhv_matches(m)
     assert_steering_matches(m, bob)
