@@ -44,6 +44,7 @@ from .seesaw import (
     seesaw,
 )
 from .steering import (
+    OracleBracket,
     SteeringBoundResult,
     ThresholdPair,
     steering_lhs_bound,
@@ -62,6 +63,7 @@ __all__ = [
     "DirectionEvaluation",
     "LhvBoundResult",
     "OptimizationResult",
+    "OracleBracket",
     "ResourceLimitError",
     "SteeringBoundResult",
     "ThresholdPair",

@@ -207,8 +207,8 @@ class DirectionCatalogEntry:
         return _read_only(steering.steering_lhs_bound(build_as_matrix(self.n), self.bob_directions))
 
     @cached_property
-    def oracle_bound(self) -> float:
-        """C_LHS of AS_n over `bob_directions` by `steering.steering_lhs_bound_oracle`."""
+    def oracle_bound(self) -> steering.OracleBracket:
+        """C_LHS of AS_n over `bob_directions` bracketed by `steering.steering_lhs_bound_oracle`."""
         return steering.steering_lhs_bound_oracle(build_as_matrix(self.n), self.bob_directions)
 
     @cached_property

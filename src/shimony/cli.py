@@ -139,7 +139,7 @@ def cmd_lhs(args) -> Outcome:
         metadata["reference"] = entry.c_lhs_reference[0]
     columns = _TABLES["lhs"]
     if args.oracle:
-        oracle_value = entry.oracle_bound
+        oracle_value = entry.oracle_bound.lower
         cells.update(c_lhs_oracle=oracle_value, oracle_delta=abs(oracle_value - pair.lhs.value))
         columns = columns + ["c_lhs_oracle", "oracle_delta"]
     extra = {"witness": pair.lhs.alice_witness, "bob_state": pair.lhs.bob_state_direction}

@@ -80,6 +80,14 @@ class SteeringBoundResult:
     quantum_value: float
 
 
+@dataclass(frozen=True)
+class OracleBracket:
+    """Both ends of `steering_lhs_bound_oracle`'s search: lower <= C_LHS <= upper, to rounding."""
+
+    lower: float
+    upper: float
+
+
 def _merge_parallel(d: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Group labels and orientations (+1 or -1) of parallel and antiparallel unit rows.
 
@@ -248,7 +256,7 @@ def steering_lhs_bound(m, bob) -> SteeringBoundResult:
     )
 
 
-def steering_lhs_bound_oracle(m, bob) -> float:
+def steering_lhs_bound_oracle(m, bob) -> OracleBracket:
     """Independent LHS bound from the other order of the two maxima.
 
     With w = m @ bob, swapping the maxima over assignments and Bloch states
@@ -264,11 +272,16 @@ def steering_lhs_bound_oracle(m, bob) -> float:
     Triangles whose upper end is at most 1 + 1e-12 times the best lower end
     are dropped and the rest split four ways. A cap that no circle crosses
     has equal ends, so the search ends within 1e-12 of C_LHS, relative.
+
+    Returns the bracket: `lower`, the best lower end, and `upper`, the largest
+    upper end among the dropped triangles. They cover the sphere, so upper
+    bounds C_LHS up to its rounding, about n eps sum_i ||w_i||; and upper is
+    at most lower * (1 + 1e-12) (`_ORACLE_PRUNE_TOL`) by construction.
     """
     _, _, w, lengths, kept = _generators(m, bob)
     w, lengths = w[kept], lengths[kept]
     block = _ORACLE_BLOCK_PRODUCTS // max(1, len(w))
-    triangles, best = _OCTAHEDRON, 0.0
+    triangles, best, ceiling = _OCTAHEDRON, 0.0, 0.0
     while len(triangles):
         a, b, c = triangles.transpose(1, 0, 2)
         centres = np.cross(b - a, c - a)  # turned outward and normalized below
@@ -287,11 +300,13 @@ def steering_lhs_bound_oracle(m, bob) -> float:
             reach = np.where(crossing, np.sin(np.minimum(pi / 2, offsets + radius[:, None])), 0.0)
             fixed = np.linalg.norm(x, axis=1) * np.cos(np.maximum(0.0, angle - radius))
             upper[s : s + block] = fixed + reach @ lengths
-        kept = triangles[upper > best * (1 + _ORACLE_PRUNE_TOL)]
+        split = upper > best * (1 + _ORACLE_PRUNE_TOL)
+        ceiling = float(upper.max(initial=ceiling, where=~split))
+        kept = triangles[split]
         mids = kept + np.roll(kept, -1, axis=1)  # ab, bc, ca
         mids /= np.linalg.norm(mids, axis=2, keepdims=True)
         triangles = np.concatenate((kept, mids), axis=1)[:, _CHILDREN].reshape(-1, 3, 3)
-    return best
+    return OracleBracket(best, ceiling)
 
 
 @dataclass(frozen=True, eq=False)

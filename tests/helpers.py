@@ -233,3 +233,19 @@ def steering_max(
             k = int(np.nonzero(norms >= threshold)[0][0])
             return float(norms[k]), (start << lo) + k
     raise AssertionError("maximum vanished between passes")
+
+
+def bracketed(oracle: steering.OracleBracket, sweep: steering.SteeringBoundResult, m) -> bool:
+    """oracle.lower <= sweep.value <= oracle.upper, within 10 n eps sum_ij |m_ij| at either end.
+
+    The upper end rounds by about n eps sum_i ||w_i|| on w = m @ bob, whose
+    rows round by eps sum_j |m_ij|, and the lower end and the sweep's value
+    are each a rounded norm of one assignment's resultant, summed two ways;
+    sum_ij |m_ij|, not Q(b), bounds them all when the rows of w cancel. The
+    sweep also reports the smallest witness within STEERING_TIE_TOL of the
+    maximum, so its value may lie that much further below the lower end.
+    """
+    m = np.asarray(m)
+    margin = 10 * len(m) * np.finfo(np.float64).eps * float(np.abs(m).sum())
+    low = oracle.lower - steering.STEERING_TIE_TOL - margin
+    return low <= sweep.value <= oracle.upper + margin

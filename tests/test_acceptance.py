@@ -44,7 +44,7 @@ from shimony.steering import (
     visibility_lhv_closed_form,
 )
 
-from helpers import correlation_density_matrix, random_rotation, random_unit_rows
+from helpers import bracketed, correlation_density_matrix, random_rotation, random_unit_rows
 
 # closed-form steering bounds for the catalog direction sets
 LHS_EXACT = {
@@ -113,8 +113,10 @@ def test_criterion_1_table1_lhs_reference_n10():
 
     bob = unified_direction_set(10, ANGLES_N10_ALTERNATE + _ANGLES_10[2:])
     quantum_gap = abs(bell_quantum_value(m, alice_best_response(m, bob), bob) - quantum_max)
-    lhs = steering_lhs_bound(m, bob).value
-    oracle = steering_lhs_bound_oracle(m, bob)
+    sweep = steering_lhs_bound(m, bob)
+    lhs = sweep.value
+    bracket = steering_lhs_bound_oracle(m, bob)
+    oracle = bracket.lower
     brute = max(
         float(np.linalg.norm(np.array(alice) @ m @ bob))
         for alice in itertools.product((-1, 1), repeat=10)
@@ -127,6 +129,7 @@ def test_criterion_1_table1_lhs_reference_n10():
         and gap <= 1e-3
         and abs(visibility - V_LHS_N10_ALTERNATE) <= 1e-5
         and spread <= 1e-6
+        and bracketed(bracket, sweep, m)
     )
     line = _verdict(
         "criterion 1 (n=10 tabulated steering bound)",
@@ -135,7 +138,8 @@ def test_criterion_1_table1_lhs_reference_n10():
         f"maximizing pair (theta0, theta1) = {tuple(ANGLES_N10_ALTERNATE)} reaches "
         f"the quantum maximum within {quantum_gap:.3g} and gives {lhs:.6f} vs "
         f"tabulated {LHS_N10_TABULATED} (gap {gap:.2g}), V_LHS {visibility:.6f}; "
-        f"kernel/oracle/brute-force spread {spread:.3g}",
+        f"kernel/oracle/brute-force spread {spread:.3g}; oracle bracket "
+        f"[{bracket.lower!r}, {bracket.upper!r}]",
     )
     assert ok, line
 
@@ -196,18 +200,20 @@ def test_criterion_4_oracles():
         assert lhv_bound_bruteforce(build_as_matrix(n)).value == lhv_bound_closed_form(n)
 
     worst = 0.0
+    brackets = True
     for n in SUPPORTED_SETTINGS:
         m = build_as_matrix(n)
         bob = catalog_directions(n).bob_directions
-        fast = steering_lhs_bound(m, bob).value
-        oracle = steering_lhs_bound_oracle(m, bob)
-        worst = max(worst, abs(fast - oracle))
-    ok = worst <= 1e-6
+        sweep, oracle = steering_lhs_bound(m, bob), steering_lhs_bound_oracle(m, bob)
+        worst = max(worst, abs(sweep.value - oracle.lower))
+        brackets = brackets and bracketed(oracle, sweep, m)
+    ok = worst <= 1e-6 and brackets
     line = _verdict(
         "criterion 4 (independent oracles)",
         ok,
         "brute-force classical bound matches the closed form for n=2..12; "
-        f"max |steering fast path - branch-and-bound oracle| = {worst:.3g}",
+        f"max |steering fast path - branch-and-bound oracle| = {worst:.3g}; "
+        f"each oracle bracket holds the fast path: {brackets}",
     )
     assert ok, line
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bracketed,
     entry_to_dict,
     pretty_cells,
     random_unit_rows,
@@ -471,6 +472,8 @@ def test_lhs_oracle_with_warnings_as_errors_on_a_row_whose_squares_underflow(tmp
     c_lhs, oracle = float(cells["c_lhs"]), float(cells["c_lhs_oracle"])
     assert abs(c_lhs - oracle) <= 1e-9 * c_lhs
     assert cells["witness"].split()[-1] == "-1"
+    m = build_as_matrix(40)
+    assert bracketed(steering_lhs_bound_oracle(m, bob), steering_lhs_bound(m, bob), m)
 
 
 def test_lhs_directions_wrong_order(tmp_path, capsys):

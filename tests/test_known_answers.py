@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bracketed,
     chained_matrix,
     cube_diagonals,
     dodecahedron_axes,
@@ -40,10 +41,11 @@ def test_chained_sweep_on_the_half_turn_fan(n):
 
 @pytest.mark.parametrize("n", [*range(2, 12), 40, 99, 100])
 def test_chained_oracle_on_the_half_turn_fan(n):
-    """The oracle maximizes sum_i |w_i . v| over unit v, so it meets the same 2 cot(pi/2n)."""
-    assert steering_lhs_bound_oracle(chained_matrix(n), half_turn_fan(n)) == pytest.approx(
-        chained_lhs(n), rel=1e-12
-    )
+    """The oracle maximizes sum_i |w_i . v| over unit v, so it meets the same 2 cot(pi/2n),
+    and its search ends within 1e-12 of it, relative."""
+    oracle = steering_lhs_bound_oracle(chained_matrix(n), half_turn_fan(n))
+    assert oracle.lower == pytest.approx(chained_lhs(n), rel=1e-12)
+    assert oracle.upper <= oracle.lower * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -88,5 +90,7 @@ def assert_axes_bound(axes, expected):
     """The sweep and the oracle, with m = identity, both give C_LHS = k * expected within 1e-12:
     w = m @ axes is the axes, so C_LHS = max over unit v of sum_i |d_i . v|."""
     m = np.eye(len(axes), dtype=np.int64)
-    assert steering_lhs_bound(m, axes).value / len(axes) == pytest.approx(expected, rel=1e-12)
-    assert steering_lhs_bound_oracle(m, axes) / len(axes) == pytest.approx(expected, rel=1e-12)
+    sweep, oracle = steering_lhs_bound(m, axes), steering_lhs_bound_oracle(m, axes)
+    assert sweep.value / len(axes) == pytest.approx(expected, rel=1e-12)
+    assert oracle.lower / len(axes) == pytest.approx(expected, rel=1e-12)
+    assert bracketed(oracle, sweep, m)

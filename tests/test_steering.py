@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     DIRECTION_ROW,
+    bracketed,
     direction_rows,
     random_rotation,
     random_unit_rows,
@@ -73,8 +74,11 @@ def test_n10_bound_regression():
 def test_oracle_agrees_with_fast_path_on_catalog(n):
     m = build_as_matrix(n)
     bob = catalog_directions(n).bob_directions
-    fast = steering_lhs_bound(m, bob).value
-    assert steering_lhs_bound_oracle(m, bob) == pytest.approx(fast, abs=1e-6)
+    sweep, oracle = steering_lhs_bound(m, bob), steering_lhs_bound_oracle(m, bob)
+    assert oracle.lower == pytest.approx(sweep.value, abs=1e-6)
+    assert bracketed(oracle, sweep, m)
+    # The search ends within 1e-12 of C_LHS, relative: its upper end says so.
+    assert oracle.upper <= oracle.lower * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -82,8 +86,9 @@ def test_oracle_agrees_on_random_directions(n):
     m = build_as_matrix(n)
     for seed in range(3):
         bob = random_measurement_set(n, seed=seed, restart_index=99)
-        fast = steering_lhs_bound(m, bob).value
-        assert steering_lhs_bound_oracle(m, bob) == pytest.approx(fast, abs=1e-6)
+        sweep, oracle = steering_lhs_bound(m, bob), steering_lhs_bound_oracle(m, bob)
+        assert oracle.lower == pytest.approx(sweep.value, abs=1e-6)
+        assert bracketed(oracle, sweep, m)
 
 
 @pytest.mark.parametrize("n", [8, 10])
@@ -93,8 +98,9 @@ def test_oracle_agrees_at_non_power_of_two_grids(n):
     # four triangles.
     m = build_as_matrix(n)
     bob = catalog_directions(n).bob_directions
-    fast = steering_lhs_bound(m, bob).value
-    assert steering_lhs_bound_oracle(m, bob) == pytest.approx(fast, rel=1e-12)
+    sweep, oracle = steering_lhs_bound(m, bob), steering_lhs_bound_oracle(m, bob)
+    assert oracle.lower == pytest.approx(sweep.value, rel=1e-12)
+    assert bracketed(oracle, sweep, m)
 
 
 def test_oracle_grid_block_memory_is_bounded():
@@ -116,7 +122,7 @@ def test_oracle_search_memory_is_bounded():
     n = 200
     angles = 2 * np.pi * np.arange(n) / n
     bob = np.stack([np.cos(angles), np.sin(angles), np.zeros(n)], axis=1)
-    fast = steering_lhs_bound(np.eye(n), bob).value
+    sweep = steering_lhs_bound(np.eye(n), bob)
     tracemalloc.start()
     try:
         oracle = steering_lhs_bound_oracle(np.eye(n), bob)
@@ -124,7 +130,8 @@ def test_oracle_search_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-    assert oracle == pytest.approx(fast, rel=1e-12, abs=0)
+    assert oracle.lower == pytest.approx(sweep.value, rel=1e-12, abs=0)
+    assert bracketed(oracle, sweep, np.eye(n))
 
 
 def test_witness_reproduces_value():
@@ -346,7 +353,9 @@ def test_memory_at_the_cap_is_bounded():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert result.value <= lhv_bound_closed_form(n)
-    assert steering_lhs_bound_oracle(m, bob) == pytest.approx(result.value, rel=1e-12)
+    oracle = steering_lhs_bound_oracle(m, bob)
+    assert oracle.lower == pytest.approx(result.value, rel=1e-12)
+    assert bracketed(oracle, result, m)
 
 
 @pytest.mark.parametrize("n", [4, MAX_STEERING_SETTINGS])
@@ -390,7 +399,9 @@ def test_linear_steering_inequality_closed_form(k):
         pair = werner_thresholds(np.eye(k), bob, float(k))
         assert pair.v_lhs == pytest.approx(1 / math.sqrt(k), rel=1e-15)
         assert pair.v_lhv == 1.0
-        assert steering_lhs_bound_oracle(np.eye(k), bob) == pytest.approx(result.value, rel=1e-12)
+        oracle = steering_lhs_bound_oracle(np.eye(k), bob)
+        assert oracle.lower == pytest.approx(result.value, rel=1e-12)
+        assert bracketed(oracle, result, np.eye(k))
 
 
 def degenerate_bob_sets(rng, n):
@@ -428,7 +439,9 @@ def test_bound_beyond_the_enumeration_cap_matches_the_oracle(n):
         assert result.alice_witness[0] == -1
         assert np.array_equal(result.column_sums, result.alice_witness @ m)
         assert np.linalg.norm(result.column_sums @ bob) == pytest.approx(result.value, rel=1e-14)
-        assert steering_lhs_bound_oracle(m, bob) == pytest.approx(result.value, rel=1e-12)
+        oracle = steering_lhs_bound_oracle(m, bob)
+        assert oracle.lower == pytest.approx(result.value, rel=1e-12)
+        assert bracketed(oracle, result, m)
     # The last set, zero-plus-tiny, gives a zero last row, which takes -1.
     assert not (m[-1] @ bob).any() and np.linalg.norm(m[-2] @ bob) < 1e-12
     assert result.alice_witness[-1] == -1
@@ -445,7 +458,9 @@ def test_oracle_drops_rows_whose_squares_underflow(n):
     assert last.any() and last @ last == 0
     result = steering_lhs_bound(m, bob)
     assert result.alice_witness[-1] == -1
-    assert steering_lhs_bound_oracle(m, bob) == pytest.approx(result.value, rel=1e-12)
+    oracle = steering_lhs_bound_oracle(m, bob)
+    assert oracle.lower == pytest.approx(result.value, rel=1e-12)
+    assert bracketed(oracle, result, m)
 
 
 def test_oracle_on_lattice_directions_with_rows_of_mixed_scale():
@@ -459,9 +474,9 @@ def test_oracle_on_lattice_directions_with_rows_of_mixed_scale():
         bob = rng.integers(-1, 2, size=(20, 3)).astype(np.float64)
         bob[~bob.any(axis=1)] = [0.0, 0.0, 1.0]
         bob /= np.linalg.norm(bob, axis=1, keepdims=True)
-        fast = steering_lhs_bound(m, bob).value
-        oracle = steering_lhs_bound_oracle(m, bob)
-        assert oracle == pytest.approx(fast, rel=1e-12, abs=0)
+        sweep, oracle = steering_lhs_bound(m, bob), steering_lhs_bound_oracle(m, bob)
+        assert oracle.lower == pytest.approx(sweep.value, rel=1e-12, abs=0)
+        assert bracketed(oracle, sweep, m)
 
 
 @st.composite
@@ -497,8 +512,15 @@ def thin_cell_inputs(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(thin_cell_inputs())
+@example(  # a row of norm 5e-13 ties two vertices: the sweep's value is 2.5e-13 below lower
+    (
+        [[1, 1, 1], [1, -1, 0], [0, 0, 0]],
+        [[0.7071067811865475, 0.0, 0.7071067811865476],
+         [0.7071067811869011, 0.0, 0.707106781186194], [1.0, 0.0, 0.0]],
+    )
+)
 def test_oracle_matches_kernel_on_thin_cells(inputs):
     m, bob = map(np.array, inputs)
-    fast = steering_lhs_bound(m, bob).value
-    oracle = steering_lhs_bound_oracle(m, bob)
-    assert oracle == pytest.approx(fast, rel=1e-12, abs=0)
+    sweep, oracle = steering_lhs_bound(m, bob), steering_lhs_bound_oracle(m, bob)
+    assert oracle.lower == pytest.approx(sweep.value, rel=1e-12, abs=0)
+    assert bracketed(oracle, sweep, m)
