@@ -342,8 +342,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# Distinct command lines whose parse one process keeps: a warm stream's
+# recurring lines and the one-off lines between their recurrences.
+_PARSE_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parsed(argv: tuple) -> dict:
+    """The parsed options of one command line, parsed once per process.
+
+    A bad line, --help and --version exit inside the parse, so none is stored:
+    each such call prints and exits again.
+    """
+    return vars(_parser().parse_args(argv))
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A fresh namespace per call, so a handler's changes to it end with the call.
+    args = argparse.Namespace(**_parsed(tuple(argv)))
     try:
         doc, code = args.handler(args)
         if doc is not None:

@@ -236,8 +236,12 @@ def steering_lhs_bound(m, bob) -> SteeringBoundResult:
 
     Ties resolve to the lexicographically smallest witness (within
     STEERING_TIE_TOL on the norm, -1 < +1), which is -1 on the rows of norm 0.
-    The value is recomputed from the witness's integer column sums, so it
-    does not depend on how the candidates' resultants were summed.
+    The value is recomputed from the witness's integer column sums c, as
+    ||c @ bob||, so it does not depend on how the candidates' resultants were
+    summed. Its error is absolute, about eps sum_j |c_j|: where the rows of
+    m @ bob cancel it can be far off relatively (m = [[1, -1], [2, -2]] with
+    Bob (0, s, s) and (1e-14, s, s), s = 1/sqrt(2), reads 3.000041e-14
+    against the oracle's 3e-14).
     """
     m, bob, w, norms, kept = _generators(m, bob)
     alice = -np.ones(len(w), dtype=np.int64)

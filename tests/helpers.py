@@ -1,6 +1,8 @@
 """Small shared utilities for the test suite."""
 
 import re
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from math import cos, sin, sqrt
 
 import numpy as np
@@ -249,3 +251,41 @@ def bracketed(oracle: steering.OracleBracket, sweep: steering.SteeringBoundResul
     margin = 10 * len(m) * np.finfo(np.float64).eps * float(np.abs(m).sum())
     low = oracle.lower - steering.STEERING_TIE_TOL - margin
     return low <= sweep.value <= oracle.upper + margin
+
+
+# Working digits of exact_lhs' square roots.
+EXACT_DIGITS = 50
+
+
+def exact_sqrt(x) -> Decimal:
+    """The square root of a Fraction, int or Decimal x, to EXACT_DIGITS digits."""
+    x = Fraction(x)
+    with localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS
+        return (Decimal(x.numerator) / Decimal(x.denominator)).sqrt()
+
+
+def exact_lhs(m, bob) -> tuple[Decimal, Decimal]:
+    """C_LHS and Q(b) of m over the directions bob, to EXACT_DIGITS digits.
+
+    Float64 entries are exact binary rationals, so w = m @ bob and every
+    resultant sum_i c_i w_i are exact as Fractions. C_LHS^2 is the largest
+    squared resultant over the 2^(n-1) assignments with setting 0 at -1,
+    walked in Gray-code order, one sign flip per step. Only the square roots
+    round: of C_LHS^2, and of each |w_i|^2 for Q(b) = sum_i |w_i|.
+    """
+    m = [[Fraction(x) for x in row] for row in np.asarray(m).tolist()]
+    bob = [[Fraction(x) for x in row] for row in np.asarray(bob, dtype=np.float64).tolist()]
+    w = [[sum(mij * b[k] for mij, b in zip(row, bob)) for k in range(3)] for row in m]
+    signs = [-1] + [1] * (len(w) - 1)
+    r = [sum(s * wi[k] for s, wi in zip(signs, w)) for k in range(3)]
+    best = sum(x * x for x in r)
+    for step in range(1, 1 << (len(w) - 1)):
+        i = (step & -step).bit_length()  # the flipped setting, never 0
+        signs[i] = -signs[i]
+        r = [x + 2 * signs[i] * y for x, y in zip(r, w[i])]
+        best = max(best, sum(x * x for x in r))
+    with localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS
+        quantum_value = sum(exact_sqrt(sum(x * x for x in wi)) for wi in w)
+    return exact_sqrt(best), quantum_value

@@ -192,9 +192,20 @@ def test_unknown_output_format_is_refused():
         OutputDocument("matrix").render("xml")
 
 
-def test_main_reuses_one_parser(capsys, monkeypatch):
+def run_main(capsys, argv):
+    """main's exit code, stdout and stderr, with a SystemExit's code as the exit code."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_reuses_one_parser(capsys):
     # Outputs, refusals and exit codes of a run of main() calls on the cached
-    # parser are byte-identical to the same calls each on a fresh parser.
+    # parser and parse memo are byte-identical to the same calls each on a
+    # fresh parser with an empty memo.
     sequence = [
         ["thresholds", "4"],
         ["matrix", "3"],
@@ -207,24 +218,75 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
         ["thresholds", "4"],
     ]
 
-    def run(argv):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    cached = [run(argv) for argv in sequence]
+    cached = [run_main(capsys, argv) for argv in sequence]
     assert cli._parser() is cli._parser()
     assert cli.build_parser() is not cli.build_parser()
     fresh = []
     for argv in sequence:
         cli._parser.cache_clear()
-        fresh.append(run(argv))
+        cli._parsed.cache_clear()
+        fresh.append(run_main(capsys, argv))
     assert cached == fresh
     assert [code for code, _, _ in cached] == [0, 2, 0, 2, 0, 0, 0, 2, 0]
     assert cached[5][1].startswith("shimony ")
+
+
+def test_a_handler_that_changes_its_args_leaves_the_next_call_unchanged(capsys, monkeypatch):
+    # The parse is kept per command line, but each call gets its own namespace.
+    seen = []
+
+    def mutating(args):
+        seen.append(dict(vars(args)))
+        args.n, args.format, args.added = -1, "csv", True
+        return None, cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_matrix", mutating)
+    cli._parser.cache_clear()
+    cli._parsed.cache_clear()
+    try:
+        assert [cli.main(["matrix", "3"]) for _ in range(3)] == [0, 0, 0]
+        assert cli._parsed.cache_info().hits == 2
+    finally:
+        cli._parser.cache_clear()
+        cli._parsed.cache_clear()
+    assert seen[0] == seen[1] == seen[2]
+    assert (seen[0]["n"], seen[0]["format"], "added" in seen[0]) == (3, "pretty", False)
+
+
+@pytest.mark.parametrize(
+    "argv, stored",
+    [
+        (["nonsense"], False),
+        (["matrix", "3"], True),
+        (["lhs", "4", "--format", "bad"], False),
+        (["--help"], False),
+        (["lhs", "--help"], False),
+        (["--version"], False),
+    ],
+)
+def test_refused_lines_print_and_exit_the_same_every_call(capsys, argv, stored):
+    # Argument errors, --help and --version exit inside the parse, so they are
+    # never kept; a line that parses and then fails in its handler is kept once.
+    size = cli._parsed.cache_info().currsize
+    first = run_main(capsys, argv)
+    after_first = cli._parsed.cache_info().currsize
+    second = run_main(capsys, argv)
+    assert first == second
+    assert cli._parsed.cache_info().currsize == after_first
+    assert first[0] == (0 if "--help" in argv or "--version" in argv else 2)
+    assert first[1] or first[2]
+    if not stored:
+        assert after_first == size
+
+
+def test_the_parse_memo_stays_at_its_bound(capsys):
+    bound = cli._parsed.cache_info().maxsize
+    assert bound == cli._PARSE_MEMO_SIZE == 128
+    for n in range(2, 2 * bound + 22, 2):
+        assert cli.main(["bounds", str(n), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith(f"n,c_lhv\n{n},")
+        assert cli._parsed.cache_info().currsize <= bound
+    assert cli._parsed.cache_info().currsize == bound
 
 
 def help_entry(capsys, command, option):

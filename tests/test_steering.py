@@ -12,6 +12,7 @@ from helpers import (
     DIRECTION_ROW,
     bracketed,
     direction_rows,
+    exact_lhs,
     random_rotation,
     random_unit_rows,
     regular_polygon_set,
@@ -524,3 +525,19 @@ def test_oracle_matches_kernel_on_thin_cells(inputs):
     sweep, oracle = steering_lhs_bound(m, bob), steering_lhs_bound_oracle(m, bob)
     assert oracle.lower == pytest.approx(sweep.value, rel=1e-12, abs=0)
     assert bracketed(oracle, sweep, m)
+
+
+def test_value_error_is_absolute_where_the_rows_of_w_cancel():
+    # The value is ||c @ bob|| for the witness's column sums c: its error is
+    # about eps sum_j |c_j|, far more than eps relative once the rows of
+    # m @ bob cancel. Here the exact C_LHS is 3e-14 and the value can read
+    # 3.000041e-14 (1.4e-5 relative); the oracle, on w itself, reads 3e-14.
+    s = 0.7071067811865476
+    m, bob = np.array([[1, -1], [2, -2]]), np.array([[0.0, s, s], [1e-14, s, s]])
+    result, oracle = steering_lhs_bound(m, bob), steering_lhs_bound_oracle(m, bob)
+    exact, quantum_value = exact_lhs(m, bob)
+    eps = np.finfo(np.float64).eps
+    assert abs(result.value - float(exact)) <= len(m) * eps * np.abs(result.column_sums).sum()
+    assert oracle.lower == pytest.approx(float(exact), rel=1e-15, abs=0)
+    assert result.quantum_value == pytest.approx(float(quantum_value), rel=1e-15, abs=0)
+    assert bracketed(oracle, result, m)
