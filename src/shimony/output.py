@@ -5,14 +5,19 @@ optional JSON-only extras (arrays that do not fit a flat table). Floats are
 written with 10 significant digits in CSV and carried through JSON as the
 same rounded values, so both machine encodings hold identical numbers; the
 pretty renderer uses 4 decimals.
+
+JSON is written in one walk over the document by `json_text`: each float is
+rounded as in CSV and written as it is visited, with no rounded copy made
+first, and the text is byte for byte what `json.dumps(..., indent=2)` wrote
+for that copy. Strings go through `json`'s C escaper.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -40,21 +45,92 @@ def _cell_text(value, spec: str) -> str:
     return str(value)
 
 
-def json_ready(value):
-    """Recursively convert arrays/scalars to JSON-safe values, floats rounded as in CSV."""
-    if isinstance(value, np.ndarray):
-        return json_ready(value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [json_ready(v) for v in value]
-    if isinstance(value, dict):
-        return {k: json_ready(v) for k, v in value.items()}
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return round_sig(value)
-    return value
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value, indent: str) -> str:
+    text = float.__repr__(round_sig(value))
+    return _NONFINITE.get(text, text)
+
+
+def _int_text(value, indent: str) -> str:
+    return int.__repr__(int(value))
+
+
+def _bool_text(value, indent: str) -> str:
+    return "true" if value else "false"
+
+
+def _none_text(value, indent: str) -> str:
+    return "null"
+
+
+def _str_text(value, indent: str) -> str:
+    return _quote(value)
+
+
+def _array_text(value, indent: str) -> str:
+    return _text(value.tolist(), indent)
+
+
+def _sequence_text(items, indent: str) -> str:
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join([_text(v, inner) for v in items]) + "\n" + indent + "]"
+
+
+def _dict_text(mapping, indent: str) -> str:
+    if not mapping:
+        return "{}"
+    inner = indent + "  "
+    items = []
+    for key, value in mapping.items():
+        if not isinstance(key, str):
+            raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+        items.append(_quote(key) + ": " + _text(value, inner))
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+
+
+_WRITERS = {
+    float: _float_text,
+    np.float64: _float_text,
+    int: _int_text,
+    np.int64: _int_text,
+    bool: _bool_text,
+    np.bool_: _bool_text,
+    type(None): _none_text,
+    str: _str_text,
+    list: _sequence_text,
+    tuple: _sequence_text,
+    dict: _dict_text,
+    np.ndarray: _array_text,
+}
+
+
+def _other_text(value, indent: str) -> str:
+    # numpy scalar types other than the three in _WRITERS (float32, int32, ...).
+    if isinstance(value, np.integer):
+        return _int_text(value, indent)
+    if isinstance(value, np.floating):
+        return _float_text(value, indent)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _text(value, indent: str) -> str:
+    return _WRITERS.get(type(value), _other_text)(value, indent)
+
+
+def json_text(value) -> str:
+    """A document as indent-2 JSON text, written in one walk.
+
+    Arrays are written as their `tolist()`, numpy scalars as the Python
+    scalars they hold, and floats rounded by `round_sig` as in CSV, with NaN
+    and infinities as `NaN`, `Infinity` and `-Infinity`. The bytes are those
+    of `json.dumps(..., indent=2)` on the rounded copy. A dict key that is not
+    a str, or a value of any other type, raises TypeError.
+    """
+    return _text(value, "")
 
 
 @dataclass
@@ -80,7 +156,7 @@ class OutputDocument:
             "notes": self.notes,
             **self.extra,
         }
-        return json.dumps(json_ready(body), indent=2)
+        return json_text(body)
 
     def _table_csv(self, table: Table) -> str:
         buffer = io.StringIO()

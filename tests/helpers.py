@@ -1,5 +1,6 @@
 """Small shared utilities for the test suite."""
 
+import json
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shimony import steering
+from shimony.output import round_sig
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -289,3 +291,29 @@ def exact_lhs(m, bob) -> tuple[Decimal, Decimal]:
         ctx.prec = EXACT_DIGITS
         quantum_value = sum(exact_sqrt(sum(x * x for x in wi)) for wi in w)
     return exact_sqrt(best), quantum_value
+
+
+def json_ready(value):
+    """Recursively convert arrays/scalars to JSON-safe values, floats rounded as in CSV."""
+    if isinstance(value, np.ndarray):
+        return json_ready(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [json_ready(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_ready(v) for k, v in value.items()}
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return round_sig(value)
+    return value
+
+
+def reference_json(value) -> str:
+    """A document's JSON text as `OutputDocument.to_json` wrote it before its one-walk writer.
+
+    `json_ready`'s rounded copy encoded by `json.dumps(..., indent=2)`: the
+    byte-for-byte reference the writer in `shimony.output` is tested against.
+    """
+    return json.dumps(json_ready(value), indent=2)

@@ -793,6 +793,9 @@ JSON_PINS = [
      "5a0f0038f7f949961e85d91db8e7f1f032251fc4a51adeb3ca8d5a5d953bee5d"),
     (("thresholds", "8", "--quantum-max", "seesaw", "--restarts", "16", "--seed", "3"),
      "2355110803a1389a52e00c3cd899cc9adeccb5a7b114fb20dbd286ec6c009cfe"),
+    (("thresholds", "2"), "55ff5234bc813c888bc08e3d41e2b54b1a388badd819dd4c9294279d557013a8"),
+    (("matrix", "8"), "8c9d7bb7d465e63192bb1f8e35ad8649bd39813d5f8c793247268246b18a0328"),
+    (("lhs", "8", "--oracle"), "f1a13822936769113adf5a8e11af0c86ffb6dc9e509c1712f6d0745f16cdd61f"),
 ]
 
 
@@ -808,6 +811,8 @@ def test_json_bytes_pinned(capsys, argv, digest):
 VERIFY_JSON_PINS = [
     (2, 3, "b5ed808da450ec3fb2132bdab9f84acc40ab16bc884d8d3269ee41db9b785cda"),
     (4, 3, "9f1b16cb422e765af32d4bddb7bdfb6baa12e240ca669e0869f789a7c93c8d2e"),
+    (6, 0, "7d9628aeb29c631ec608e014009e0d9e6ca11ffe68ca5b33bb365cddf3e17abb"),
+    (8, 0, "4f9dd1deb613588ddd090b52f9043b2001e85f5817dc992b4b80eb38c0c2c797"),
     (10, 0, "e648936dedb9fdfad0a660d4db65b6ca0f687cec39286b2b2542e8cd2057d2b9"),
 ]
 
@@ -841,12 +846,41 @@ def _file_bob(n: int) -> np.ndarray:
     ids=[" ".join(argv) + ("" if n == 40 else f" {n}-gon") + f"-{d}" for n, argv, d in FILE_JSON_PINS],
 )
 def test_file_directions_json_bytes_pinned(tmp_path, capsys, n, argv, digest):
+    code, out, _ = run_with_file_directions(tmp_path, capsys, n, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def run_with_file_directions(tmp_path, capsys, n, argv):
+    """run_cli on `command n flags --directions FILE --format json`, FILE holding _file_bob(n)."""
     path = tmp_path / f"bob{n}.json"
     path.write_text(json.dumps({"n": n, "bob": _file_bob(n).tolist()}))
     command, *flags = argv
-    code, out, _ = run_cli(capsys, command, str(n), *flags, "--directions", str(path), "--format", "json")
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    return run_cli(capsys, command, str(n), *flags, "--directions", str(path), "--format", "json")
+
+
+# Every pinned JSON output, as (n of its directions file or None, argv).
+PINNED_JSON_LINES = (
+    [(None, (*argv, "--format", "json")) for argv, _ in JSON_PINS]
+    + [(None, ("verify-directions", str(n), "--format", "json")) for n, _, _ in VERIFY_JSON_PINS]
+    + [(None, argv) for argv, _, _ in SEESAW_JSON_PINS]
+    + [(n, argv) for n, argv, _ in FILE_JSON_PINS]
+)
+
+
+@pytest.mark.parametrize(
+    "file_n, argv",
+    PINNED_JSON_LINES,
+    ids=[" ".join(argv) + ("" if n is None else f" --directions {n}") for n, argv in PINNED_JSON_LINES],
+)
+def test_pinned_json_is_json_dumps_indent_2(tmp_path, capsys, file_n, argv):
+    # json's own indent-2 encoding of the parsed output gives the output back,
+    # so the writer's whitespace and separators are checked without its help.
+    if file_n is None:
+        _, out, _ = run_cli(capsys, *argv)
+    else:
+        _, out, _ = run_with_file_directions(tmp_path, capsys, file_n, argv)
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
 @pytest.mark.parametrize("n,expected", [(2, 3), (4, 3), (6, 0), (8, 0), (10, 0)])
