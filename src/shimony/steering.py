@@ -221,14 +221,14 @@ def _lhs_witness(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return starts[np.lexsort(starts.T[::-1])[0]].astype(np.int64)
 
 
-def _generators(m, bob) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Validated m and bob, w = m @ bob, the only row norms of w, and kept: norms > 0."""
+def _generators(m, bob) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validated m, w = m @ bob (bob validated), the only row norms of w, and kept: norms > 0."""
     m = as_coefficient_matrix(m)
     bob = as_measurement_set(bob, len(m))
     require_steering_size(len(m))
     w = m.astype(np.float64) @ bob
     norms = np.linalg.norm(w, axis=1)
-    return m, bob, w, norms, norms > 0
+    return m, w, norms, norms > 0
 
 
 def steering_lhs_bound(m, bob) -> SteeringBoundResult:
@@ -236,19 +236,19 @@ def steering_lhs_bound(m, bob) -> SteeringBoundResult:
 
     Ties resolve to the lexicographically smallest witness (within
     STEERING_TIE_TOL on the norm, -1 < +1), which is -1 on the rows of norm 0.
-    The value is recomputed from the witness's integer column sums c, as
-    ||c @ bob||, so it does not depend on how the candidates' resultants were
-    summed. Its error is absolute, about eps sum_j |c_j|: where the rows of
-    m @ bob cancel it can be far off relatively (m = [[1, -1], [2, -2]] with
-    Bob (0, s, s) and (1e-14, s, s), s = 1/sqrt(2), reads 3.000041e-14
-    against the oracle's 3e-14).
+    The value and Bob's state come from the witness's resultant alice @ w, on
+    the w = m @ bob of Q(b) and the oracle, whatever the candidates' order of
+    summation. Relative to w, the value rounds by about n eps Q(b), at most
+    2 n eps of it as C_LHS >= Q(b) / 2 (the sphere's mean of sum_i |w_i . v|),
+    while the resultant's squares stay normal (entries above about 1e-154).
+    column_sums, alice @ m, is exact in integers.
     """
-    m, bob, w, norms, kept = _generators(m, bob)
+    m, w, norms, kept = _generators(m, bob)
     alice = -np.ones(len(w), dtype=np.int64)
     if kept.any():
         alice[kept] = _lhs_witness(w[kept], norms[kept])
     column_sums = alice @ m
-    resultant = column_sums.astype(np.float64) @ bob
+    resultant = alice @ w
     norm = float(np.linalg.norm(resultant))
     direction = DEGENERATE_DIRECTION.copy() if norm < ZERO_RESULTANT_TOL else resultant / norm
     return SteeringBoundResult(
@@ -282,7 +282,7 @@ def steering_lhs_bound_oracle(m, bob) -> OracleBracket:
     bounds C_LHS up to its rounding, about n eps sum_i ||w_i||; and upper is
     at most lower * (1 + 1e-12) (`_ORACLE_PRUNE_TOL`) by construction.
     """
-    _, _, w, lengths, kept = _generators(m, bob)
+    _, w, lengths, kept = _generators(m, bob)
     w, lengths = w[kept], lengths[kept]
     block = _ORACLE_BLOCK_PRODUCTS // max(1, len(w))
     triangles, best, ceiling = _OCTAHEDRON, 0.0, 0.0

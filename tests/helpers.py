@@ -239,18 +239,18 @@ def steering_max(
     raise AssertionError("maximum vanished between passes")
 
 
-def bracketed(oracle: steering.OracleBracket, sweep: steering.SteeringBoundResult, m) -> bool:
-    """oracle.lower <= sweep.value <= oracle.upper, within 10 n eps sum_ij |m_ij| at either end.
+def bracketed(oracle: steering.OracleBracket, sweep: steering.SteeringBoundResult) -> bool:
+    """oracle.lower <= sweep.value <= oracle.upper, within 10 n eps Q(b) at either end.
 
-    The upper end rounds by about n eps sum_i ||w_i|| on w = m @ bob, whose
-    rows round by eps sum_j |m_ij|, and the lower end and the sweep's value
-    are each a rounded norm of one assignment's resultant, summed two ways;
-    sum_ij |m_ij|, not Q(b), bounds them all when the rows of w cancel. The
-    sweep also reports the smallest witness within STEERING_TIE_TOL of the
-    maximum, so its value may lie that much further below the lower end.
+    The oracle and the sweep read the same w = m @ bob, so the rounding of w
+    itself is common to both. On that w, the upper end rounds by about
+    n eps sum_i ||w_i|| = n eps Q(b) (sweep.quantum_value), and the lower end
+    and the sweep's value are each a rounded norm of one assignment's
+    resultant sum_i A_i w_i, which rounds by at most about as much. The sweep
+    also reports the smallest witness within STEERING_TIE_TOL of the maximum,
+    so its value may lie that much further below the lower end.
     """
-    m = np.asarray(m)
-    margin = 10 * len(m) * np.finfo(np.float64).eps * float(np.abs(m).sum())
+    margin = 10 * len(sweep.alice_witness) * np.finfo(np.float64).eps * sweep.quantum_value
     low = oracle.lower - steering.STEERING_TIE_TOL - margin
     return low <= sweep.value <= oracle.upper + margin
 

@@ -129,7 +129,7 @@ def test_criterion_1_table1_lhs_reference_n10():
         and gap <= 1e-3
         and abs(visibility - V_LHS_N10_ALTERNATE) <= 1e-5
         and spread <= 1e-6
-        and bracketed(bracket, sweep, m)
+        and bracketed(bracket, sweep)
     )
     line = _verdict(
         "criterion 1 (n=10 tabulated steering bound)",
@@ -206,7 +206,7 @@ def test_criterion_4_oracles():
         bob = catalog_directions(n).bob_directions
         sweep, oracle = steering_lhs_bound(m, bob), steering_lhs_bound_oracle(m, bob)
         worst = max(worst, abs(sweep.value - oracle.lower))
-        brackets = brackets and bracketed(oracle, sweep, m)
+        brackets = brackets and bracketed(oracle, sweep)
     ok = worst <= 1e-6 and brackets
     line = _verdict(
         "criterion 4 (independent oracles)",

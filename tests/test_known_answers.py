@@ -93,4 +93,4 @@ def assert_axes_bound(axes, expected):
     sweep, oracle = steering_lhs_bound(m, axes), steering_lhs_bound_oracle(m, axes)
     assert sweep.value / len(axes) == pytest.approx(expected, rel=1e-12)
     assert oracle.lower / len(axes) == pytest.approx(expected, rel=1e-12)
-    assert bracketed(oracle, sweep, m)
+    assert bracketed(oracle, sweep)
