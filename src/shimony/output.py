@@ -6,10 +6,10 @@ written with 10 significant digits in CSV and carried through JSON as the
 same rounded values, so both machine encodings hold identical numbers; the
 pretty renderer uses 4 decimals.
 
-JSON is written in one walk over the document by `json_text`: each float is
-rounded as in CSV and written as it is visited, with no rounded copy made
-first, and the text is byte for byte what `json.dumps(..., indent=2)` wrote
-for that copy. Strings go through `json`'s C escaper.
+JSON is written by one recursive function, `json_text`, in one walk that picks
+each value's text by its exact type. Floats are rounded as in CSV as they are
+visited, with no rounded copy made first, and the text is byte for byte what
+`json.dumps(..., indent=2)` wrote for that copy. Strings use `json`'s C escaper.
 """
 
 from __future__ import annotations
@@ -46,79 +46,53 @@ def _cell_text(value, spec: str) -> str:
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(value, indent: str) -> str:
-    text = float.__repr__(round_sig(value))
-    return _NONFINITE.get(text, text)
-
-
-def _int_text(value, indent: str) -> str:
-    return int.__repr__(int(value))
-
-
-def _bool_text(value, indent: str) -> str:
-    return "true" if value else "false"
-
-
-def _none_text(value, indent: str) -> str:
-    return "null"
-
-
-def _str_text(value, indent: str) -> str:
-    return _quote(value)
-
-
-def _array_text(value, indent: str) -> str:
-    return _text(value.tolist(), indent)
-
-
-def _sequence_text(items, indent: str) -> str:
-    if not items:
-        return "[]"
-    inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join([_text(v, inner) for v in items]) + "\n" + indent + "]"
-
-
-def _dict_text(mapping, indent: str) -> str:
-    if not mapping:
-        return "{}"
-    inner = indent + "  "
-    items = []
-    for key, value in mapping.items():
-        if not isinstance(key, str):
-            raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-        items.append(_quote(key) + ": " + _text(value, inner))
-    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-
-
-_WRITERS = {
-    float: _float_text,
-    np.float64: _float_text,
-    int: _int_text,
-    np.int64: _int_text,
-    bool: _bool_text,
-    np.bool_: _bool_text,
-    type(None): _none_text,
-    str: _str_text,
-    list: _sequence_text,
-    tuple: _sequence_text,
-    dict: _dict_text,
-    np.ndarray: _array_text,
-}
-
-
-def _other_text(value, indent: str) -> str:
-    # numpy scalar types other than the three in _WRITERS (float32, int32, ...).
-    if isinstance(value, np.integer):
-        return _int_text(value, indent)
-    if isinstance(value, np.floating):
-        return _float_text(value, indent)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+# Exact types, so a subclass is refused; bound here so no call looks up `np.X`.
+_FLOATS = {float, np.float64}
+_INTS = {int, np.int64}
+_BOOLS = {bool, np.bool_}
+_SEQUENCES = {list, tuple}
 
 
 def _text(value, indent: str) -> str:
-    return _WRITERS.get(type(value), _other_text)(value, indent)
+    kind = type(value)
+    if kind in _FLOATS:
+        text = float.__repr__(round_sig(value))
+        return _NONFINITE.get(text, text)
+    if kind is str:
+        return _quote(value)
+    if kind in _INTS:
+        return int.__repr__(int(value))
+    if kind in _SEQUENCES:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        # Not a comprehension: before Python 3.12 that makes `inner` a cell on every call.
+        items = []
+        for v in value:
+            items.append(_text(v, inner))
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, v in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            items.append(_quote(key) + ": " + _text(v, inner))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind in _BOOLS:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is np.ndarray:
+        return _text(value.tolist(), indent)
+    # Numpy scalar types other than the exact ones above (float32, int32, ...).
+    if isinstance(value, np.integer):
+        return _text(int(value), indent)
+    if isinstance(value, np.floating):
+        return _text(float(value), indent)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def json_text(value) -> str:

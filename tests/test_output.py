@@ -1,5 +1,7 @@
 """The one-walk JSON writer against the `json_ready` + `json.dumps` path it replaced."""
 
+import collections
+import enum
 import math
 
 import numpy as np
@@ -70,10 +72,46 @@ def test_writer_matches_the_reference_on_edge_values(value):
     assert json_text(document) == reference_json(document)
 
 
+class _Text(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+class _View(np.ndarray):
+    pass
+
+
+# The writer dispatches on exact types, so a subclass of a type it writes is
+# refused too: a namedtuple, an OrderedDict, a str or int subclass, an array view.
 @pytest.mark.parametrize(
     "value",
-    [{1, 2}, object(), {1: 2.0}, {"rows": [[0.5, {3}]]}, {"nested": {None: 1}}],
-    ids=["set", "object", "int key", "nested set", "None key"],
+    [
+        {1, 2},
+        object(),
+        {1: 2.0},
+        {"rows": [[0.5, {3}]]},
+        {"nested": {None: 1}},
+        collections.namedtuple("Pair", "a b")(1, 2),
+        collections.OrderedDict(a=1),
+        _Text("a"),
+        _Level.ONE,
+        np.arange(3.0).view(_View),
+    ],
+    ids=[
+        "set",
+        "object",
+        "int key",
+        "nested set",
+        "None key",
+        "namedtuple",
+        "OrderedDict",
+        "str subclass",
+        "IntEnum member",
+        "ndarray subclass view",
+    ],
 )
 def test_writer_refuses_what_json_cannot_hold(value):
     with pytest.raises(TypeError):
