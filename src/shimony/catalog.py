@@ -115,7 +115,7 @@ _BOB_ONLY_NOTES = (
 # 10-setting C_LHS is a tabulated decimal that does not match the value
 # computed from the tabulated directions (27.2321, which matches the tabulated
 # V_LHS 0.6779); it is the exact bound of the other maximizing (theta0,
-# theta1) = (-2.9224, -2.3630) pair. `reference_notes` sets both side by side.
+# theta1) = (-2.9224, -2.3630) pair. The note of `cli._evaluate` sets both side by side.
 _ORDERS = {
     2: (
         _angles_2,
@@ -247,21 +247,6 @@ def _read_only(result):
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
     return result
-
-
-def reference_notes(entry: DirectionCatalogEntry, quantum_max: float) -> list[str]:
-    """Notes on the entry's tabulated figures; at n = 10 they are set against its bound."""
-    if entry.n != 10 or entry.c_lhs_reference is None:
-        return []
-    (_, c_ref), (_, v_ref) = entry.c_lhs_reference, entry.v_lhs_reference
-    c_lhs = entry.steering_bound.value
-    return [
-        f"computed bound {c_lhs:.6f} disagrees with the tabulated reference "
-        f"{c_ref:.4f}; the computed quotient {c_lhs / quantum_max:.6f} matches "
-        f"the tabulated visibility threshold {v_ref:.4f}, while the reference "
-        f"bound would imply {c_ref / quantum_max:.6f}; the two tabulated figures "
-        f"are mutually inconsistent and both are reported"
-    ]
 
 
 def _direction_rows(data, key: str, n: int) -> np.ndarray:

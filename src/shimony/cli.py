@@ -36,34 +36,44 @@ def _signed_text(values) -> str:
     return " ".join(f"{int(v):+d}" for v in values)
 
 
-def _steering_request(args) -> catalog.DirectionCatalogEntry:
-    """The request's direction entry: catalog order n, or the --directions file's set.
+def _steering_request(args) -> tuple[catalog.DirectionCatalogEntry, dict]:
+    """The request's direction entry and metadata: catalog order n, or the --directions file's set.
 
     n must be even and within the steering cap, checked before a file is read.
     """
     n = matrices.require_even_settings(args.n)
     matrices.require_steering_size(n)
     if args.directions is None:
-        return catalog.catalog_directions(n)
+        return catalog.catalog_directions(n), _metadata(n=n, directions_source="catalog")
     try:
         entry = catalog.load_directions_file(args.directions)
     except ValueError as exc:
         raise ValueError(f"{args.directions}: {exc}") from exc
     if entry.n != n:
         raise ValueError(f"{args.directions}: file is for n={entry.n}, command asked for n={n}")
-    return entry
+    return entry, _metadata(n=n, directions_source="file")
 
 
 def _evaluate(entry: catalog.DirectionCatalogEntry, quantum_max: float):
-    """The per-order evaluation: thresholds, the entry's notes and named cells.
+    """The per-order evaluation: thresholds, a fresh list of notes and named cells.
 
     A file's entry has no tabulated figures, so its reference cells are None.
     """
     n, lhs = entry.n, entry.steering_bound
     pair = steering._threshold_pair(matrices.lhv_bound_closed_form(n), lhs, quantum_max)
-    c_ref = v_ref = None
+    c_ref = v_ref = v_from_ref = None
+    notes = []
     if entry.c_lhs_reference is not None:
         c_ref, v_ref = entry.c_lhs_reference[1], entry.v_lhs_reference[1]
+        v_from_ref = c_ref / quantum_max
+        if n == 10:  # the tabulated C_LHS and V_LHS disagree; the note sets both out
+            notes.append(
+                f"computed bound {lhs.value:.6f} disagrees with the tabulated reference "
+                f"{c_ref:.4f}; the computed quotient {pair.v_lhs:.6f} matches "
+                f"the tabulated visibility threshold {v_ref:.4f}, while the reference "
+                f"bound would imply {v_from_ref:.6f}; the two tabulated figures "
+                f"are mutually inconsistent and both are reported"
+            )
     state = pair.lhs.bob_state_direction.tolist()
     cells = {
         "n": n,
@@ -74,11 +84,11 @@ def _evaluate(entry: catalog.DirectionCatalogEntry, quantum_max: float):
         "v_lhv": pair.v_lhv,
         "v_lhs": pair.v_lhs_fixed_bob,
         "v_lhs_reference": v_ref,
-        "v_lhs_from_reference_bound": None if c_ref is None else c_ref / quantum_max,
+        "v_lhs_from_reference_bound": v_from_ref,
         **dict(zip(["bob_state_x", "bob_state_y", "bob_state_z"], state)),
         "witness": _signed_text(pair.lhs.alice_witness),
     }
-    return pair, catalog.reference_notes(entry, quantum_max), cells
+    return pair, notes, cells
 
 
 def _one_row(name: str, cells: dict, columns=None) -> Table:
@@ -131,10 +141,8 @@ def cmd_bounds(args) -> Outcome:
 
 
 def cmd_lhs(args) -> Outcome:
-    entry = _steering_request(args)
+    entry, metadata = _steering_request(args)
     pair, notes, cells = _evaluate(entry, quantum.max_quantum_closed_form(entry.n))
-    source = "catalog" if args.directions is None else "file"
-    metadata = _metadata(n=entry.n, directions_source=source)
     if entry.c_lhs_reference is not None:
         metadata["reference"] = entry.c_lhs_reference[0]
     columns = _TABLES["lhs"]
@@ -148,9 +156,8 @@ def cmd_lhs(args) -> Outcome:
 
 
 def cmd_thresholds(args) -> Outcome:
-    entry = _steering_request(args)
-    source = "catalog" if args.directions is None else "file"
-    metadata = _metadata(n=entry.n, directions_source=source, quantum_max_source=args.quantum_max)
+    entry, metadata = _steering_request(args)
+    metadata["quantum_max_source"] = args.quantum_max
     if args.quantum_max == "seesaw":
         m = matrices.build_as_matrix(entry.n)
         quantum_max = multistart_seesaw(m, restarts=args.restarts, seed=args.seed).value

@@ -124,12 +124,12 @@ def as_coefficient_matrix(m) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
-def as_assignment(values, n: int | None = None) -> np.ndarray:
+def as_assignment(values, n: int) -> np.ndarray:
     """Coerce to a 1-D vector of +-1 settings outcomes."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"assignment must be one-dimensional, got shape {arr.shape}")
-    if n is not None and arr.shape[0] != n:
+    if arr.shape[0] != n:
         raise ValueError(f"assignment length {arr.shape[0]} does not match n={n}")
     if not np.all(np.isin(arr, (-1, 1))):
         raise ValueError("assignment entries must be +1 or -1")

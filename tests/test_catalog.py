@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from helpers import entry_to_dict, random_unit_rows
-from shimony import catalog
+from shimony import catalog, cli
 from shimony.catalog import (
     SUPPORTED_SETTINGS,
     VERIFICATION_TOL,
     catalog_directions,
     directions_from_dict,
     load_directions_file,
-    reference_notes,
     unified_direction_set,
     verify_directions,
 )
@@ -322,7 +321,7 @@ def test_a_file_entry_computes_its_own_bounds_and_shares_none(tmp_path):
     for entry in (first, second):
         assert entry.c_lhs_reference is None and entry.v_lhs_reference is None
         assert entry.tolerance == VERIFICATION_TOL
-        assert reference_notes(entry, max_quantum_closed_form(10)) == []
+        assert cli._evaluate(entry, max_quantum_closed_form(10))[1] == []
     m = build_as_matrix(10)
     direct = steering_lhs_bound(m, first.bob_directions)
     bound = first.steering_bound

@@ -686,6 +686,20 @@ def test_thresholds_of_the_catalog_set_from_a_file(tmp_path, capsys):
     assert "quantum_value_directions" not in doc
 
 
+@pytest.mark.parametrize("n", SUPPORTED_SETTINGS)
+def test_the_n10_note_divides_by_the_requests_quantum_maximum(n):
+    # Only order 10 gets the note on its tabulated figures, and both its
+    # quotients divide by the quantum maximum given, here not the closed form.
+    _, notes, cells = cli._evaluate(catalog_directions(n), 50.0)
+    if n != 10:
+        assert notes == []
+        return
+    (note,) = notes
+    quotients = [f"{cells['c_lhs'] / 50:.6f}", f"{cells['v_lhs_from_reference_bound']:.6f}"]
+    assert quotients == ["0.544641", "0.541910"]
+    assert all(quotient in note for quotient in quotients)
+
+
 def test_thresholds_seesaw_quantum_max(capsys):
     code, out, _ = run_cli(
         capsys, "thresholds", "2", "--quantum-max", "seesaw",
