@@ -1,6 +1,6 @@
 """Abner-Shimony Bell inequalities.
 
-Coefficient matrices and exact local bounds, Werner-state quantum values with
+Coefficient matrices and exact local bounds, singlet quantum values with
 a closed-form maximum and a see-saw optimizer, EPR-steering bounds with an
 independent verification oracle, and visibility thresholds, plus a CLI that
 reproduces the reference tables.
@@ -23,14 +23,11 @@ from .matrices import (
     LhvBoundResult,
     ResourceLimitError,
     build_as_matrix,
-    classical_value,
     lhv_bound,
     lhv_bound_bruteforce,
     lhv_bound_closed_form,
 )
 from .quantum import (
-    SINGLET,
-    WernerState,
     bell_quantum_value,
     correlation,
     max_quantum_closed_form,
@@ -38,7 +35,6 @@ from .quantum import (
 from .seesaw import (
     OptimizationResult,
     alice_best_response,
-    bob_best_response,
     multistart_seesaw,
     random_measurement_set,
     seesaw,
@@ -49,7 +45,6 @@ from .steering import (
     ThresholdPair,
     steering_lhs_bound,
     steering_lhs_bound_oracle,
-    visibility_lhv_closed_form,
     werner_thresholds,
 )
 
@@ -58,7 +53,6 @@ __all__ = [
     "MAX_ENUMERATION_SETTINGS",
     "MAX_STEERING_SETTINGS",
     "SUPPORTED_SETTINGS",
-    "SINGLET",
     "DirectionCatalogEntry",
     "DirectionEvaluation",
     "LhvBoundResult",
@@ -68,13 +62,10 @@ __all__ = [
     "SteeringBoundResult",
     "ThresholdPair",
     "VerificationReport",
-    "WernerState",
     "alice_best_response",
     "bell_quantum_value",
-    "bob_best_response",
     "build_as_matrix",
     "catalog_directions",
-    "classical_value",
     "correlation",
     "lhv_bound",
     "lhv_bound_bruteforce",
@@ -87,6 +78,5 @@ __all__ = [
     "steering_lhs_bound_oracle",
     "unified_direction_set",
     "verify_directions",
-    "visibility_lhv_closed_form",
     "werner_thresholds",
 ]

@@ -124,18 +124,6 @@ def as_coefficient_matrix(m) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
-def as_assignment(values, n: int) -> np.ndarray:
-    """Coerce to a 1-D vector of +-1 settings outcomes."""
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"assignment must be one-dimensional, got shape {arr.shape}")
-    if arr.shape[0] != n:
-        raise ValueError(f"assignment length {arr.shape[0]} does not match n={n}")
-    if not np.all(np.isin(arr, (-1, 1))):
-        raise ValueError("assignment entries must be +1 or -1")
-    return arr.astype(np.int64)
-
-
 def lhv_bound_closed_form(n: int) -> int:
     """Exact LHV maximum of AS_N: (N/2)(N/2 + 1)."""
     n = require_even_settings(n)
@@ -149,14 +137,6 @@ class LhvBoundResult:
     value: int
     alice_witness: np.ndarray
     bob_witness: np.ndarray
-
-
-def classical_value(m, alice, bob) -> int:
-    """Evaluate sum_ij m[i][j] * alice[i] * bob[j] exactly."""
-    m = as_coefficient_matrix(m)
-    a = as_assignment(alice, m.shape[0])
-    b = as_assignment(bob, m.shape[0])
-    return int(a @ m @ b)
 
 
 def lhv_bound_bruteforce(m) -> LhvBoundResult:

@@ -1,9 +1,11 @@
-"""Bloch-vector measurements and Werner-state correlations.
+"""Bloch-vector measurements and singlet correlations.
 
-Measurement directions are unit vectors on the Bloch sphere; a two-qubit
-Werner state with visibility V gives the joint spin correlation
-E(a, b) = -V (a . b). The module also evaluates AS Bell functionals on
-direction sets and provides the closed-form quantum maximum.
+Measurement directions are unit vectors on the Bloch sphere; the singlet
+gives the joint spin correlation E(a, b) = -(a . b). The module also
+evaluates AS Bell functionals on direction sets and provides the closed-form
+quantum maximum. The library evaluates the singlet only: a Werner state of
+visibility V scales every value by V, so V enters only as the thresholds'
+quotients V = C / max.
 
 The maximum (N+1) sqrt(N(N+2)) / 3 holds for unit vectors u_i, v_j in any
 dimension, hence for every quantum state (Tsirelson, Lett. Math. Phys. 4,
@@ -35,7 +37,6 @@ catalog sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
@@ -50,22 +51,6 @@ DEGENERATE_DIRECTION = np.array([0.0, 0.0, 1.0])
 # Resultants below this norm give no preferred direction; DEGENERATE_DIRECTION
 # is used instead.
 ZERO_RESULTANT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class WernerState:
-    """Mixture V |psi-><psi-| + (1 - V) I/4 with visibility V in [0, 1]."""
-
-    visibility: float
-
-    def __post_init__(self):
-        v = float(self.visibility)
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"visibility must lie in [0, 1], got {self.visibility!r}")
-        object.__setattr__(self, "visibility", v)
-
-
-SINGLET = WernerState(1.0)
 
 
 def as_bloch_vector(direction) -> np.ndarray:
@@ -102,23 +87,20 @@ def as_measurement_set(directions, n: int | None = None, name: str = "direction 
     return arr / norms
 
 
-def correlation(a, b, state: WernerState = SINGLET) -> float:
-    """Joint +-1-outcome correlation -V (a . b) for spin measurements."""
+def correlation(a, b) -> float:
+    """Joint +-1-outcome singlet correlation -(a . b) for spin measurements."""
     a = as_bloch_vector(a)
     b = as_bloch_vector(b)
-    return -state.visibility * float(a @ b)
+    return -float(a @ b)
 
 
-def bell_quantum_value(m, alice, bob, state: WernerState = SINGLET) -> float:
-    """Evaluate sum_ij m[i][j] E(a_i, b_j) on the Werner state.
-
-    Scales exactly linearly in the visibility: the V=1 value times V.
-    """
+def bell_quantum_value(m, alice, bob) -> float:
+    """Evaluate sum_ij m[i][j] E(a_i, b_j) on the singlet."""
     m = as_coefficient_matrix(m)
     n = m.shape[0]
     a = as_measurement_set(alice, n)
     b = as_measurement_set(bob, n)
-    return -state.visibility * float(np.sum(m * (a @ b.T)))
+    return -float(np.sum(m * (a @ b.T)))
 
 
 def max_quantum_closed_form(n: int) -> float:

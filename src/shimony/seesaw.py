@@ -2,7 +2,7 @@
 
 For a fixed Bob set the optimal Alice direction on setting i is the unit
 vector opposing the resultant sum_j m[i][j] b_j (the correlation is
--V a . b), and symmetrically for Bob. Each half-step is therefore exact and
+-a . b), and symmetrically for Bob. Each half-step is therefore exact and
 never decreases the value; alternating converges to a fixed point.
 """
 
@@ -48,13 +48,6 @@ def alice_best_response(m, bob) -> np.ndarray:
     m = as_coefficient_matrix(m)
     bob = as_measurement_set(bob, m.shape[0])
     return _respond(m.astype(np.float64) @ bob)[0]
-
-
-def bob_best_response(m, alice) -> np.ndarray:
-    """Optimal Bob directions against a fixed Alice set."""
-    m = as_coefficient_matrix(m)
-    alice = as_measurement_set(alice, m.shape[0])
-    return _respond(m.astype(np.float64).T @ alice)[0]
 
 
 @dataclass(frozen=True, eq=False)

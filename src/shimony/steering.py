@@ -29,7 +29,6 @@ import numpy as np
 from .matrices import (
     as_coefficient_matrix,
     lhv_bound,
-    require_even_settings,
     require_steering_size,
 )
 from .quantum import DEGENERATE_DIRECTION, ZERO_RESULTANT_TOL, as_measurement_set
@@ -58,11 +57,6 @@ _EPS = np.finfo(np.float64).eps
 
 # The signs of gen_i at the two ends of an edge, broadcast over (end, i, coordinate).
 _PLUS_MINUS = np.array([1.0, -1.0]).reshape(2, 1, 1)
-
-def visibility_lhv_closed_form(n: int) -> float:
-    """LHV visibility threshold 3 sqrt(N(N+2)) / (4(N+1))."""
-    n = require_even_settings(n)
-    return 3 * sqrt(n * (n + 2)) / (4 * (n + 1))
 
 
 @dataclass(frozen=True, eq=False)

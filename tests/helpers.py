@@ -21,10 +21,10 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0]) / sqrt(2.0)
 
 
-def density_matrix(state) -> np.ndarray:
-    """Explicit 4x4 density matrix V |psi-><psi-| + (1 - V) I/4 of a WernerState."""
+def density_matrix(visibility: float) -> np.ndarray:
+    """Explicit 4x4 Werner density matrix V |psi-><psi-| + (1 - V) I/4."""
     projector = np.outer(SINGLET_KET, SINGLET_KET)
-    return state.visibility * projector + (1.0 - state.visibility) * np.eye(4) / 4.0
+    return visibility * projector + (1.0 - visibility) * np.eye(4) / 4.0
 
 
 def spin_observable(direction) -> np.ndarray:
@@ -33,14 +33,26 @@ def spin_observable(direction) -> np.ndarray:
     return x * PAULI_X + y * PAULI_Y + z * PAULI_Z
 
 
-def correlation_density_matrix(a, b, state) -> float:
-    """The Werner correlation as the explicit trace tr[rho (sigma.a x sigma.b)].
+def correlation_density_matrix(a, b, visibility: float = 1.0) -> float:
+    """The Werner correlation as the explicit trace tr[rho_V (sigma.a x sigma.b)].
 
-    The independent check of `shimony.quantum.correlation`, which computes
-    -V (a . b) and shares no code with this path.
+    The independent check of `shimony.quantum.correlation` and
+    `bell_quantum_value`, which compute the singlet's -(a . b) and share no
+    code with this path; a Werner state of visibility V scales them by V.
     """
     observable = np.kron(spin_observable(a), spin_observable(b))
-    return float(np.trace(density_matrix(state) @ observable).real)
+    return float(np.trace(density_matrix(visibility) @ observable).real)
+
+
+def classical_value(m, alice, bob) -> int:
+    """Exact sum_ij m[i][j] alice[i] bob[j] of two +-1 assignments, in int64."""
+    a, m, b = (np.asarray(x, dtype=np.int64) for x in (alice, m, bob))
+    return int(a @ m @ b)
+
+
+def visibility_lhv_closed_form(n: int) -> float:
+    """The paper's LHV visibility threshold of AS_N, 3 sqrt(N(N+2)) / (4(N+1))."""
+    return 3 * sqrt(n * (n + 2)) / (4 * (n + 1))
 
 
 def bloch_from_spherical(theta: float, phi: float) -> np.ndarray:

@@ -31,20 +31,17 @@ from shimony.matrices import (
     lhv_bound_bruteforce,
     lhv_bound_closed_form,
 )
-from shimony.quantum import (
-    WernerState,
-    bell_quantum_value,
-    correlation,
-    max_quantum_closed_form,
-)
+from shimony.quantum import bell_quantum_value, correlation, max_quantum_closed_form
 from shimony.seesaw import alice_best_response, multistart_seesaw
-from shimony.steering import (
-    steering_lhs_bound,
-    steering_lhs_bound_oracle,
+from shimony.steering import steering_lhs_bound, steering_lhs_bound_oracle
+
+from helpers import (
+    bracketed,
+    correlation_density_matrix,
+    random_rotation,
+    random_unit_rows,
     visibility_lhv_closed_form,
 )
-
-from helpers import bracketed, correlation_density_matrix, random_rotation, random_unit_rows
 
 # closed-form steering bounds for the catalog direction sets
 LHS_EXACT = {
@@ -225,8 +222,8 @@ def test_criterion_5_correlation_paths():
     for _ in range(1000):
         a = random_unit_rows(rng, 1)[0]
         b = random_unit_rows(rng, 1)[0]
-        state = WernerState(rng.uniform())
-        worst = max(worst, abs(correlation(a, b, state) - correlation_density_matrix(a, b, state)))
+        v = rng.uniform()
+        worst = max(worst, abs(v * correlation(a, b) - correlation_density_matrix(a, b, v)))
     ok = worst <= 1e-12
     line = _verdict(
         "criterion 5 (correlation consistency)",

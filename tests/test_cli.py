@@ -19,17 +19,14 @@ from helpers import (
     random_unit_rows,
     regular_polygon_set,
     underflow_bob_set,
+    visibility_lhv_closed_form,
 )
 from shimony import catalog, cli
 from shimony.catalog import SUPPORTED_SETTINGS, catalog_directions, verify_directions
 from shimony.matrices import build_as_matrix
 from shimony.output import OutputDocument, round_sig
 from shimony.seesaw import DEFAULT_RESTARTS, random_measurement_set
-from shimony.steering import (
-    steering_lhs_bound,
-    steering_lhs_bound_oracle,
-    visibility_lhv_closed_form,
-)
+from shimony.steering import steering_lhs_bound, steering_lhs_bound_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import classical_value
 from shimony import _kernels
 from shimony.matrices import (
     MAX_ENUMERATION_SETTINGS,
     ResourceLimitError,
     as_coefficient_matrix,
     build_as_matrix,
-    classical_value,
     lhv_bound,
     lhv_bound_bruteforce,
     lhv_bound_closed_form,
@@ -288,17 +288,12 @@ def test_classical_value_examples():
     assert classical_value(AS_4, [-1, -1, -1, -1], [-1, -1, -1, -1]) == 6
 
 
-def test_classical_value_validation():
-    with pytest.raises(ValueError):
-        classical_value(AS_4, [1, 1, 1], [1, 1, 1, 1])
-    with pytest.raises(ValueError):
-        classical_value(AS_4, [1, 1, 1, 2], [1, 1, 1, 1])
-    with pytest.raises(ValueError):
-        classical_value([[1, 1], [1, 0.5]], [1, 1], [1, 1])
-    with pytest.raises(ValueError):
-        classical_value(np.ones((2, 3)), [1, 1], [1, 1, 1])
-    with pytest.raises(ValueError, match="assignment must be one-dimensional"):
-        classical_value(AS_2, [[1, 1]], [1, 1])
+def test_coefficient_matrix_refusals():
+    for m in (np.ones((2, 3)), np.zeros((0, 0)), [1, 1]):
+        with pytest.raises(ValueError, match="must be square and non-empty, got shape"):
+            as_coefficient_matrix(m)
+    with pytest.raises(ValueError, match="coefficient matrix entries must be integers"):
+        as_coefficient_matrix([[1, 1], [1, 0.5]])
 
 
 @pytest.mark.parametrize("m", [[[np.nan]], [[1.0, np.inf], [0.0, 1.0]]], ids=["nan", "inf"])
@@ -313,7 +308,7 @@ def test_coefficients_too_large_for_int64_are_rejected():
     with pytest.raises(ValueError, match="too large"):
         lhv_bound_bruteforce(big)
     with pytest.raises(ValueError, match="too large"):
-        classical_value(big, [1, 1], [1, 1])
+        as_coefficient_matrix(big)
     assert lhv_bound_bruteforce(np.full((2, 2), 1 << 40)).value == 1 << 42
 
 

@@ -1,4 +1,4 @@
-"""Werner-state correlations and Bell values on Bloch directions."""
+"""Singlet correlations and Bell values on Bloch directions."""
 
 import itertools
 import math
@@ -18,8 +18,6 @@ from helpers import (
 from shimony.catalog import SUPPORTED_SETTINGS, catalog_directions
 from shimony.matrices import build_as_matrix
 from shimony.quantum import (
-    SINGLET,
-    WernerState,
     as_bloch_vector,
     as_measurement_set,
     bell_quantum_value,
@@ -87,15 +85,9 @@ def test_measurement_set_rejects_non_real_dtypes(directions):
         as_measurement_set(directions)
 
 
-@pytest.mark.parametrize("bad", [-0.1, 1.0000001, float("nan")])
-def test_werner_visibility_validation(bad):
-    with pytest.raises(ValueError):
-        WernerState(bad)
-
-
 def test_werner_density_matrix_is_a_state():
     for v in (0.0, 0.3, 1.0):
-        rho = density_matrix(WernerState(v))
+        rho = density_matrix(v)
         assert rho.shape == (4, 4)
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.allclose(rho, rho.conj().T, atol=1e-12)
@@ -103,10 +95,8 @@ def test_werner_density_matrix_is_a_state():
 
 
 def test_correlation_examples():
-    assert correlation(Z, Z, SINGLET) == pytest.approx(-1.0, abs=1e-15)
-    assert correlation(Z, X, SINGLET) == pytest.approx(0.0, abs=1e-15)
-    assert correlation(Z, Z, WernerState(0.0)) == 0.0
-    assert correlation(Z, Z, WernerState(0.5)) == pytest.approx(-0.5, abs=1e-15)
+    assert correlation(Z, Z) == pytest.approx(-1.0, abs=1e-15)
+    assert correlation(Z, X) == pytest.approx(0.0, abs=1e-15)
 
 
 @given(
@@ -117,14 +107,16 @@ def test_correlation_examples():
 def test_correlation_bounded_by_visibility(ta, pa, tb, pb, v):
     a = bloch_from_spherical(ta, pa)
     b = bloch_from_spherical(tb, pb)
-    assert abs(correlation(a, b, WernerState(v))) <= v + 1e-12
+    assert abs(v * correlation(a, b)) <= v + 1e-12
+    assert abs(correlation_density_matrix(a, b, v)) <= v + 1e-12
 
 
 def test_density_matrix_path_examples():
-    assert correlation_density_matrix(Z, Z, SINGLET) == pytest.approx(-1.0, abs=1e-12)
-    assert correlation_density_matrix(X, X, SINGLET) == pytest.approx(-1.0, abs=1e-12)
-    assert correlation_density_matrix(Z, X, SINGLET) == pytest.approx(0.0, abs=1e-12)
-    assert correlation_density_matrix(Z, Z, WernerState(0.0)) == pytest.approx(0.0, abs=1e-12)
+    assert correlation_density_matrix(Z, Z) == pytest.approx(-1.0, abs=1e-12)
+    assert correlation_density_matrix(X, X) == pytest.approx(-1.0, abs=1e-12)
+    assert correlation_density_matrix(Z, X) == pytest.approx(0.0, abs=1e-12)
+    assert correlation_density_matrix(Z, Z, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert correlation_density_matrix(Z, Z, 0.5) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_density_matrix_agrees_with_fast_path():
@@ -132,8 +124,8 @@ def test_density_matrix_agrees_with_fast_path():
     for _ in range(200):
         a = random_unit_rows(rng, 1)[0]
         b = random_unit_rows(rng, 1)[0]
-        state = WernerState(float(rng.uniform()))
-        assert abs(correlation(a, b, state) - correlation_density_matrix(a, b, state)) <= 1e-12
+        v = float(rng.uniform())
+        assert abs(v * correlation(a, b) - correlation_density_matrix(a, b, v)) <= 1e-12
 
 
 def test_bell_value_chsh_geometry():
@@ -144,14 +136,18 @@ def test_bell_value_chsh_geometry():
     assert value == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
 
-def test_bell_value_scales_exactly_with_visibility():
+def test_bell_value_matches_density_matrix():
+    # sum_ij m_ij tr[rho_V (sigma.a_i x sigma.b_j)] is V times the singlet value.
     m = build_as_matrix(4)
-    entry = catalog_directions(4)
-    alice = alice_best_response(m, entry.bob_directions)
-    full = bell_quantum_value(m, alice, entry.bob_directions, SINGLET)
+    bob = catalog_directions(4).bob_directions
+    alice = alice_best_response(m, bob)
+    value = bell_quantum_value(m, alice, bob)
     for v in (0.0, 0.25, 0.6782, 1.0):
-        scaled = bell_quantum_value(m, alice, entry.bob_directions, WernerState(v))
-        assert scaled == v * full  # exact, not approximate
+        traced = sum(
+            m[i, j] * correlation_density_matrix(alice[i], bob[j], v)
+            for i, j in itertools.product(range(4), repeat=2)
+        )
+        assert abs(traced - v * value) <= 1e-12
 
 
 def test_bell_value_rotation_invariance():

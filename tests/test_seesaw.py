@@ -13,7 +13,6 @@ from shimony.seesaw import (
     DEFAULT_TOL,
     _respond,
     alice_best_response,
-    bob_best_response,
     multistart_seesaw,
     random_measurement_set,
     seesaw,
@@ -21,6 +20,11 @@ from shimony.seesaw import (
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
+
+
+def bob_best_response(m, alice):
+    """Bob's half-step: Alice's best response to the transposed functional."""
+    return alice_best_response(np.asarray(m).T, alice)
 
 
 def test_alice_best_response_as2():

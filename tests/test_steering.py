@@ -20,6 +20,7 @@ from helpers import (
     square_rows,
     steering_max,
     underflow_bob_set,
+    visibility_lhv_closed_form,
 )
 from shimony.catalog import catalog_directions
 from shimony.matrices import (
@@ -36,7 +37,6 @@ from shimony.steering import (
     STEERING_TIE_TOL,
     steering_lhs_bound,
     steering_lhs_bound_oracle,
-    visibility_lhv_closed_form,
     werner_thresholds,
 )
 
