@@ -349,29 +349,40 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# Distinct command lines whose parse one process keeps: a warm stream's
-# recurring lines and the one-off lines between their recurrences.
-_PARSE_MEMO_SIZE = 128
-
-
-@lru_cache(maxsize=_PARSE_MEMO_SIZE)
-def _parsed(argv: tuple) -> dict:
-    """The parsed options of one command line, parsed once per process.
-
-    A bad line, --help and --version exit inside the parse, so none is stored:
-    each such call prints and exits again.
-    """
-    return vars(_parser().parse_args(argv))
+# The answers of the file-free command lines one process keeps: at most this
+# many lines, the least recently used dropped first, and each answer at most
+# this many characters, so the memo holds at most 8 MiB.
+_ANSWER_MEMO_SIZE = 128
+_ANSWER_MAX_CHARS = 65536
+_answers: dict[tuple, tuple[str, int]] = {}
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # A fresh namespace per call, so a handler's changes to it end with the call.
-    args = argparse.Namespace(**_parsed(tuple(argv)))
+    """Run one command line, answering a repeated file-free line from memory.
+
+    A line that reads and writes no file gets the same stdout text and exit
+    code every time in one process (catalog entries are shared and read-only,
+    the see-saw is seeded), so that answer is kept. Never kept: a --directions
+    line (the file can change), a line that writes files, a handler failure
+    and an answer over _ANSWER_MAX_CHARS. argparse refusals, --help and
+    --version exit inside the parse on every call.
+    """
+    key = tuple(sys.argv[1:] if argv is None else argv)
     try:
+        if key in _answers:
+            text, code = _answers[key] = _answers.pop(key)  # now the most recent
+            sys.stdout.write(text)
+            return code
+        args = _parser().parse_args(key)
         doc, code = args.handler(args)
-        if doc is not None:
-            sys.stdout.write(doc.render(args.format))
+        if doc is None:  # it wrote files
+            return code
+        text = doc.render(args.format)
+        sys.stdout.write(text)
+        if getattr(args, "directions", None) is None and len(text) <= _ANSWER_MAX_CHARS:
+            _answers[key] = text, code
+            if len(_answers) > _ANSWER_MEMO_SIZE:
+                del _answers[next(iter(_answers))]
         return code
     except (matrices.ResourceLimitError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -5,19 +5,14 @@ optional JSON-only extras (arrays that do not fit a flat table). Floats are
 written with 10 significant digits in CSV and carried through JSON as the
 same rounded values, so both machine encodings hold identical numbers; the
 pretty renderer uses 4 decimals.
-
-JSON is written by one recursive function, `json_text`, in one walk that picks
-each value's text by its exact type. Floats are rounded as in CSV as they are
-visited, with no rounded copy made first, and the text is byte for byte what
-`json.dumps(..., indent=2)` wrote for that copy. Strings use `json`'s C escaper.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -45,66 +40,42 @@ def _cell_text(value, spec: str) -> str:
     return str(value)
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Exact types, so a subclass is refused; bound here so no call looks up `np.X`.
-_FLOATS = {float, np.float64}
-_INTS = {int, np.int64}
-_BOOLS = {bool, np.bool_}
-_SEQUENCES = {list, tuple}
+def _rounded(value):
+    """A copy of value that `json.dumps` can write, floats rounded as in CSV.
 
-
-def _text(value, indent: str) -> str:
+    Dispatch is on exact types, so a subclass of a type written here (a
+    namedtuple, an OrderedDict, an IntEnum member, an array view) is refused.
+    """
     kind = type(value)
-    if kind in _FLOATS:
-        text = float.__repr__(round_sig(value))
-        return _NONFINITE.get(text, text)
-    if kind is str:
-        return _quote(value)
-    if kind in _INTS:
-        return int.__repr__(int(value))
-    if kind in _SEQUENCES:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        # Not a comprehension: before Python 3.12 that makes `inner` a cell on every call.
-        items = []
-        for v in value:
-            items.append(_text(v, inner))
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is float or isinstance(value, np.floating):
+        return round_sig(value)
+    if kind is int or isinstance(value, np.integer):
+        return int(value)
+    if kind is bool or kind is np.bool_:
+        return bool(value)
+    if kind is str or value is None:
+        return value
+    if kind is list or kind is tuple:
+        return [_rounded(v) for v in value]
+    if kind is np.ndarray:
+        return _rounded(value.tolist())
     if kind is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = []
-        for key, v in value.items():
+        for key in value:
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-            items.append(_quote(key) + ": " + _text(v, inner))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if kind in _BOOLS:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if kind is np.ndarray:
-        return _text(value.tolist(), indent)
-    # Numpy scalar types other than the exact ones above (float32, int32, ...).
-    if isinstance(value, np.integer):
-        return _text(int(value), indent)
-    if isinstance(value, np.floating):
-        return _text(float(value), indent)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        return {key: _rounded(v) for key, v in value.items()}
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def json_text(value) -> str:
-    """A document as indent-2 JSON text, written in one walk.
+    """A document as `json.dumps(..., indent=2)` text of its rounded copy.
 
     Arrays are written as their `tolist()`, numpy scalars as the Python
     scalars they hold, and floats rounded by `round_sig` as in CSV, with NaN
-    and infinities as `NaN`, `Infinity` and `-Infinity`. The bytes are those
-    of `json.dumps(..., indent=2)` on the rounded copy. A dict key that is not
-    a str, or a value of any other type, raises TypeError.
+    and infinities as `NaN`, `Infinity` and `-Infinity`. A dict key that is
+    not a str, or a value of any other type, raises TypeError.
     """
-    return _text(value, "")
+    return json.dumps(_rounded(value), indent=2)
 
 
 @dataclass

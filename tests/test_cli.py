@@ -37,6 +37,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture(autouse=True)
+def empty_answer_memo():
+    # Tests monkeypatch a layer and then call main on a line that an earlier
+    # test may have answered; an empty memo makes each such call reach it.
+    cli._answers.clear()
+
+
 def test_matrix_csv(capsys):
     code, out, _ = run_cli(capsys, "matrix", "4", "--format", "csv")
     assert code == 0
@@ -201,7 +208,7 @@ def run_main(capsys, argv):
 
 def test_main_reuses_one_parser(capsys):
     # Outputs, refusals and exit codes of a run of main() calls on the cached
-    # parser and parse memo are byte-identical to the same calls each on a
+    # parser and answer memo are byte-identical to the same calls each on a
     # fresh parser with an empty memo.
     sequence = [
         ["thresholds", "4"],
@@ -221,7 +228,7 @@ def test_main_reuses_one_parser(capsys):
     fresh = []
     for argv in sequence:
         cli._parser.cache_clear()
-        cli._parsed.cache_clear()
+        cli._answers.clear()
         fresh.append(run_main(capsys, argv))
     assert cached == fresh
     assert [code for code, _, _ in cached] == [0, 2, 0, 2, 0, 0, 0, 2, 0]
@@ -229,7 +236,8 @@ def test_main_reuses_one_parser(capsys):
 
 
 def test_a_handler_that_changes_its_args_leaves_the_next_call_unchanged(capsys, monkeypatch):
-    # The parse is kept per command line, but each call gets its own namespace.
+    # A handler that returns no document wrote files, so its line is never
+    # kept; each call parses again and gets its own namespace.
     seen = []
 
     def mutating(args):
@@ -239,19 +247,18 @@ def test_a_handler_that_changes_its_args_leaves_the_next_call_unchanged(capsys, 
 
     monkeypatch.setattr(cli, "cmd_matrix", mutating)
     cli._parser.cache_clear()
-    cli._parsed.cache_clear()
     try:
         assert [cli.main(["matrix", "3"]) for _ in range(3)] == [0, 0, 0]
-        assert cli._parsed.cache_info().hits == 2
+        assert not cli._answers
     finally:
         cli._parser.cache_clear()
-        cli._parsed.cache_clear()
+    assert len(seen) == 3
     assert seen[0] == seen[1] == seen[2]
     assert (seen[0]["n"], seen[0]["format"], "added" in seen[0]) == (3, "pretty", False)
 
 
 @pytest.mark.parametrize(
-    "argv, stored",
+    "argv, parsed",
     [
         (["nonsense"], False),
         (["matrix", "3"], True),
@@ -261,29 +268,110 @@ def test_a_handler_that_changes_its_args_leaves_the_next_call_unchanged(capsys, 
         (["--version"], False),
     ],
 )
-def test_refused_lines_print_and_exit_the_same_every_call(capsys, argv, stored):
-    # Argument errors, --help and --version exit inside the parse, so they are
-    # never kept; a line that parses and then fails in its handler is kept once.
-    size = cli._parsed.cache_info().currsize
+def test_refused_lines_print_and_exit_the_same_every_call(capsys, argv, parsed):
+    # Argument errors, --help and --version exit inside the parse, and a line
+    # that parses and then fails in its handler is a failure, so none is kept:
+    # each call prints and exits again.
     first = run_main(capsys, argv)
-    after_first = cli._parsed.cache_info().currsize
     second = run_main(capsys, argv)
     assert first == second
-    assert cli._parsed.cache_info().currsize == after_first
+    assert not cli._answers
     assert first[0] == (0 if "--help" in argv or "--version" in argv else 2)
     assert first[1] or first[2]
-    if not stored:
-        assert after_first == size
+    assert first[2].startswith("error: ") == parsed
 
 
-def test_the_parse_memo_stays_at_its_bound(capsys):
-    bound = cli._parsed.cache_info().maxsize
-    assert bound == cli._PARSE_MEMO_SIZE == 128
-    for n in range(2, 2 * bound + 22, 2):
-        assert cli.main(["bounds", str(n), "--format", "csv"]) == 0
-        assert capsys.readouterr().out.startswith(f"n,c_lhv\n{n},")
-        assert cli._parsed.cache_info().currsize <= bound
-    assert cli._parsed.cache_info().currsize == bound
+def test_the_answer_memo_stays_at_its_bound(capsys):
+    bound = cli._ANSWER_MEMO_SIZE
+    assert bound == 128
+    lines = [["bounds", str(n), "--format", "csv"] for n in range(2, 2 * bound + 22, 2)]
+    for argv in lines:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith(f"n,c_lhv\n{argv[1]},")
+        assert len(cli._answers) <= bound
+    assert list(cli._answers) == [tuple(argv) for argv in lines[-bound:]]
+    # A hit becomes the most recent answer, so the next line drops the one after it.
+    oldest, next_oldest = lines[-bound], lines[-bound + 1]
+    assert cli.main(oldest) == 0
+    assert cli.main(["bounds", "400", "--format", "csv"]) == 0
+    assert len(cli._answers) == bound
+    assert tuple(oldest) in cli._answers and tuple(next_oldest) not in cli._answers
+
+
+def test_a_rewritten_directions_file_is_read_again(tmp_path, capsys):
+    path = tmp_path / "bob4.json"
+    outputs = []
+    for seed in (1, 2):
+        bob = random_unit_rows(np.random.default_rng(seed), 4)
+        path.write_text(json.dumps({"n": 4, "bob": bob.tolist()}))
+        outputs.append(run_cli(capsys, "lhs", "4", "--directions", str(path), "--format", "csv"))
+    assert [code for code, _, _ in outputs] == [0, 0]
+    assert outputs[0][1] != outputs[1][1]
+    assert not cli._answers
+
+
+def test_tables_outdir_writes_its_files_on_every_call(tmp_path, capsys):
+    outdir = tmp_path / "tables"
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "tables", "--outdir", str(outdir))
+        assert code == 0 and out.count("wrote ") == 4
+        for path in sorted(outdir.iterdir()):
+            assert path.read_text() == (GOLDEN / path.name).read_text()
+            path.unlink()
+    assert not cli._answers
+
+
+def test_an_answer_over_the_size_bound_is_not_kept(capsys):
+    argv = ["matrix", "300", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(out) > cli._ANSWER_MAX_CHARS
+    assert not cli._answers
+    assert run_cli(capsys, *argv) == (code, out, "")
+
+
+def test_a_handler_failure_is_computed_again(capsys, monkeypatch):
+    # An out-of-memory failure need not repeat, so the next call computes.
+    build, calls = cli.matrices.build_as_matrix, []
+
+    def fail_once(n):
+        calls.append(n)
+        if len(calls) == 1:
+            raise MemoryError()
+        return build(n)
+
+    monkeypatch.setattr(cli.matrices, "build_as_matrix", fail_once)
+    assert run_cli(capsys, "matrix", "4") == (4, "", "error: out of memory\n")
+    code, out, _ = run_cli(capsys, "matrix", "4")
+    assert (code, out.splitlines()[0].split()) == (0, ["c1", "c2", "c3", "c4"])
+    assert calls == [4, 4]
+
+
+def test_an_anomaly_exit_code_is_answered_from_memory(capsys, monkeypatch):
+    first = run_cli(capsys, "verify-directions", "2")
+    assert first[0] == 3 and first[1]
+
+    def unreachable(n):
+        raise AssertionError("the kept answer was computed again")
+
+    monkeypatch.setattr(cli.catalog, "catalog_directions", unreachable)
+    assert run_cli(capsys, "verify-directions", "2") == first
+
+
+class FullStream:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_failed_write_exits_2_on_a_hit_and_keeps_nothing_on_a_miss(capsys, monkeypatch):
+    kept = run_cli(capsys, "matrix", "4")
+    message = "error: [Errno 28] No space left on device\n"
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    for argv in (["matrix", "4"], ["matrix", "6"]):  # a hit, then a miss
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == message
+    assert list(cli._answers) == [("matrix", "4")]
+    monkeypatch.undo()
+    assert run_cli(capsys, "matrix", "4") == kept
 
 
 def help_entry(capsys, command, option):
@@ -387,6 +475,7 @@ def test_catalog_outputs_warm_equal_cold_and_files_stay_out(tmp_path, capsys, fm
     requests = [[command, str(n), *flags] for n in SUPPORTED_SETTINGS
                 for command, *flags in CATALOG_COMMANDS]
     catalog._catalog_entry.cache_clear()
+    cli._answers.clear()
     present = set()  # the orders whose entries the cache holds
     for argv in [*requests, ["tables"]]:
         orders = SUPPORTED_SETTINGS if argv == ["tables"] else [int(argv[1])]
@@ -401,6 +490,7 @@ def test_catalog_outputs_warm_equal_cold_and_files_stay_out(tmp_path, capsys, fm
         assert entries_present() == len(present) and cached_values(entries) == filled
         second = run(argv)
         catalog._catalog_entry.cache_clear()
+        cli._answers.clear()
         cold_files = [run(request) for request in file_requests]
         assert entries_present() == 0 and cached_values(entries) == filled
         assert first == second == run(argv)
