@@ -46,6 +46,8 @@ from .steering import (
     steering_lhs_bound,
     steering_lhs_bound_oracle,
     werner_thresholds,
+    zonotope_bound,
+    zonotope_bracket,
 )
 
 __all__ = [
@@ -79,4 +81,6 @@ __all__ = [
     "unified_direction_set",
     "verify_directions",
     "werner_thresholds",
+    "zonotope_bound",
+    "zonotope_bracket",
 ]

@@ -11,7 +11,8 @@ is sum_i A_i w_i, a vertex of the zonotope sum_i [-w_i, w_i] at the maximum,
 and that zonotope has only O(n**2) vertices (Edelsbrunner, O'Rourke & Seidel,
 SIAM J. Comput. 15, 1986; Ferrez, Fukuda & Liebling, EJOR 166, 2005). A sweep
 of the great circle normal to each w_i finds them with one sort per circle,
-so the bound is exact in O(n**2 log n) time, with no 2**n scan. The Werner
+so the bound is exact in O(n**2 log n) time, with no 2**n scan; it and its
+oracle read w alone (`zonotope_bound`, `zonotope_bracket`). The Werner
 visibility thresholds follow by dividing the classical bounds by the quantum
 maximum: above V_LHV the state violates the Bell inequality, above V_LHS its
 steering counterpart. A Bob set below the maximum steers only above
@@ -22,7 +23,7 @@ Reid, PRA 80, 2009).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import frexp, ldexp, pi, sqrt
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .matrices import (
     lhv_bound,
     require_steering_size,
 )
-from .quantum import DEGENERATE_DIRECTION, ZERO_RESULTANT_TOL, as_measurement_set
+from .quantum import DEGENERATE_DIRECTION, as_measurement_set
 
 # The triangle-generator products the oracle scores at once, the relative margin
 # over its best lower end within which a triangle is dropped, and a split
@@ -170,7 +171,7 @@ def _sweep_candidates(gen: np.ndarray, d: np.ndarray, window: float) -> np.ndarr
 def _lhs_witness(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Alice's smallest assignment within STEERING_TIE_TOL of max_A ||A @ w||.
 
-    The caller gives -1 to the rows of norm 0, which `_generators` marks, and
+    The caller gives -1 to the rows of norm 0, which `_prescaled` marks, and
     passes the others with their norms as it takes them. The maximum is a
     vertex of the zonotope sum_i [-w_i, w_i], so only its O(n**2) vertices
     are scored, as the great-circle sweep finds them (`_sweep_candidates`).
@@ -215,57 +216,100 @@ def _lhs_witness(w: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return starts[np.lexsort(starts.T[::-1])[0]].astype(np.int64)
 
 
-def _generators(m, bob) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Validated m, w = m @ bob (bob validated), the only row norms of w, and kept: norms > 0."""
+def _generators(m, bob) -> tuple[np.ndarray, np.ndarray]:
+    """Validated m and w = m @ bob (bob validated), whose entries are below 2**62."""
     m = as_coefficient_matrix(m)
     bob = as_measurement_set(bob, len(m))
     require_steering_size(len(m))
-    w = m.astype(np.float64) @ bob
-    norms = np.linalg.norm(w, axis=1)
-    return m, w, norms, norms > 0
+    return m, m.astype(np.float64) @ bob
 
 
-def steering_lhs_bound(m, bob) -> SteeringBoundResult:
-    """Exact LHS bound over fixed Bob directions, from the zonotope's vertices.
+def _as_generators(w) -> np.ndarray:
+    """w as float64: real, (g, 3) with 1 <= g <= the cap, finite and below 2**500.
 
-    Ties resolve to the lexicographically smallest witness (within
-    STEERING_TIE_TOL on the norm, -1 < +1), which is -1 on the rows of norm 0.
-    The value and Bob's state come from the witness's resultant alice @ w, on
-    the w = m @ bob of Q(b) and the oracle, whatever the candidates' order of
-    summation. Relative to w, the value rounds by about n eps Q(b), at most
-    2 n eps of it as C_LHS >= Q(b) / 2 (the sphere's mean of sum_i |w_i . v|),
-    while the resultant's squares stay normal (entries above about 1e-154).
-    column_sums, alice @ m, is exact in integers.
+    Past 2**500 the squares of a resultant of that many rows could overflow.
     """
-    m, w, norms, kept = _generators(m, bob)
+    w = np.asarray(w)
+    if w.dtype.kind not in "biuf" or w.ndim != 2 or w.shape[1] != 3 or not len(w):
+        raise ValueError(f"generators w must be a real (g, 3) array, g >= 1: {w.dtype} {w.shape}")
+    if not (np.isfinite(w).all() and np.abs(w).max() < 2.0**500):
+        raise ValueError("generators w must be finite, with every entry below 2**500")
+    require_steering_size(len(w))
+    return w.astype(np.float64, copy=False)
+
+
+def _prescaled(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """w times 2**-e, its only row norms, kept (norms > 0), and e = min(0, floor(log2 max|w_ij|)).
+
+    A power of two changes no ratio, so the unit rows, the sweep's angles, the
+    merge test and Bob's state do not move, and the value, Q(b) and the
+    oracle's ends scale back exactly. Scaled, the largest entry is at least 1,
+    so the larger rows' squares stay normal and STEERING_TIE_TOL is at most
+    1e-12 of C_LHS >= max_i ||w_i||.
+    """
+    e = min(0, frexp(np.abs(w).max())[1] - 1)
+    if e:
+        w = np.ldexp(w, -e)
+    norms = np.linalg.norm(w, axis=1)
+    return w, norms, norms > 0, e
+
+
+def zonotope_bound(w) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Exact C_LHS = max over A in {-1,+1}^g of ||A @ w|| for real generators w.
+
+    Returns (value, alice_witness, bob_state_direction, quantum_value), the
+    figures of `steering_lhs_bound` on w = m @ bob. A w that is not a real,
+    finite (g, 3) array below 2**500 raises ValueError; more than
+    MAX_STEERING_SETTINGS rows raise ResourceLimitError.
+
+    Ties resolve to the lexicographically smallest int64 witness (-1 < +1)
+    within STEERING_TIE_TOL on w scaled up by a power of two until an entry
+    reaches 1 (`_prescaled`), so within at most 1e-12 of C_LHS; the witness is
+    -1 on the rows of norm 0. The value and Bob's state come from the witness's
+    resultant alice @ w, whatever the candidates' order of summation; Bob's
+    state is DEGENERATE_DIRECTION if every row is 0. Q(b) = sum_i ||w_i||.
+    Relative to w, the value rounds by about n eps Q(b), at most 2 n eps of
+    it as C_LHS >= Q(b) / 2 (the sphere's mean of sum_i |w_i . v|).
+    """
+    return _zonotope_bound(_as_generators(w))
+
+
+def _zonotope_bound(w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """`zonotope_bound` on a w already valid."""
+    w, norms, kept, e = _prescaled(w)
     alice = -np.ones(len(w), dtype=np.int64)
     if kept.any():
         alice[kept] = _lhs_witness(w[kept], norms[kept])
-    column_sums = alice @ m
     resultant = alice @ w
     norm = float(np.linalg.norm(resultant))
-    direction = DEGENERATE_DIRECTION.copy() if norm < ZERO_RESULTANT_TOL else resultant / norm
-    return SteeringBoundResult(
-        value=norm,
-        alice_witness=alice,
-        bob_state_direction=direction,
-        column_sums=column_sums,
-        quantum_value=float(norms.sum()),
-    )
+    # Past the prescale, the witness's norm is at least about 1 unless no row is kept.
+    direction = resultant / norm if kept.any() else DEGENERATE_DIRECTION.copy()
+    return ldexp(norm, e), alice, direction, ldexp(float(norms.sum()), e)
 
 
-def steering_lhs_bound_oracle(m, bob) -> OracleBracket:
-    """Independent LHS bound from the other order of the two maxima.
+def steering_lhs_bound(m, bob) -> SteeringBoundResult:
+    """Exact LHS bound over fixed Bob directions: `zonotope_bound` on w = m @ bob.
 
-    With w = m @ bob, swapping the maxima over assignments and Bloch states
-    gives C_LHS = max_{|v|=1} sum_i |w_i . v|, the zonotope's support
-    function. A branch and bound over spherical triangles, as Hartley & Kahl
-    (IJCV 82, 2009) search rotation space, maximizes it with nothing of the
-    sweep's search. It starts from the octahedron's 8 faces, which cover the
-    sphere; each triangle is bounded on its circumscribed cap (centre c,
-    radius r): below by ||sign(w . c) @ w||, the norm of an assignment;
-    above by |x| cos(max(0, angle(x, c) - r)) for the signed sum x of the
-    generators whose great circle misses the cap, plus |w_i| sin(min(pi/2,
+    column_sums, alice @ m, is exact in integers.
+    """
+    m, w = _generators(m, bob)
+    value, alice, direction, quantum_value = _zonotope_bound(w)
+    return SteeringBoundResult(value, alice, direction, alice @ m, quantum_value)
+
+
+def zonotope_bracket(w) -> OracleBracket:
+    """Independent bracket on C_LHS of real generators w, from the other order of the maxima.
+
+    w is validated as by `zonotope_bound`. Swapping the maxima over
+    assignments and Bloch states gives C_LHS = max_{|v|=1} sum_i |w_i . v|,
+    the zonotope's support function. A branch and bound over spherical
+    triangles, as Hartley & Kahl (IJCV 82, 2009) search rotation space,
+    maximizes it with nothing of the sweep's search. It starts from the
+    octahedron's 8 faces, which cover the sphere; each triangle is bounded
+    on its circumscribed cap (centre c, radius r): below by
+    ||sign(w . c) @ w||, the norm of an assignment; above by
+    |x| cos(max(0, angle(x, c) - r)) for the signed sum x of the generators
+    whose great circle misses the cap, plus |w_i| sin(min(pi/2,
     asin|d_i . c| + r)) for each unit row d_i whose circle crosses it.
     Triangles whose upper end is at most 1 + 1e-12 times the best lower end
     are dropped and the rest split four ways. A cap that no circle crosses
@@ -276,7 +320,12 @@ def steering_lhs_bound_oracle(m, bob) -> OracleBracket:
     bounds C_LHS up to its rounding, about n eps sum_i ||w_i||; and upper is
     at most lower * (1 + 1e-12) (`_ORACLE_PRUNE_TOL`) by construction.
     """
-    _, w, lengths, kept = _generators(m, bob)
+    return _zonotope_bracket(_as_generators(w))
+
+
+def _zonotope_bracket(w: np.ndarray) -> OracleBracket:
+    """`zonotope_bracket` on a w already valid, searching its rows of norm > 0."""
+    w, lengths, kept, e = _prescaled(w)
     w, lengths = w[kept], lengths[kept]
     block = _ORACLE_BLOCK_PRODUCTS // max(1, len(w))
     triangles, best, ceiling = _OCTAHEDRON, 0.0, 0.0
@@ -304,7 +353,12 @@ def steering_lhs_bound_oracle(m, bob) -> OracleBracket:
         mids = kept + np.roll(kept, -1, axis=1)  # ab, bc, ca
         mids /= np.linalg.norm(mids, axis=2, keepdims=True)
         triangles = np.concatenate((kept, mids), axis=1)[:, _CHILDREN].reshape(-1, 3, 3)
-    return OracleBracket(best, ceiling)
+    return OracleBracket(ldexp(best, e), ldexp(ceiling, e))
+
+
+def steering_lhs_bound_oracle(m, bob) -> OracleBracket:
+    """Independent LHS bound over fixed Bob directions: `zonotope_bracket` on w = m @ bob."""
+    return _zonotope_bracket(_generators(m, bob)[1])
 
 
 @dataclass(frozen=True, eq=False)

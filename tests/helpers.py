@@ -1,6 +1,5 @@
 """Small shared utilities for the test suite."""
 
-import json
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shimony import steering
-from shimony.output import round_sig
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -214,19 +212,18 @@ def _sign_table(k: int) -> np.ndarray:
 
 
 def steering_max(
-    m: np.ndarray,
-    bob: np.ndarray,
+    w: np.ndarray,
     tie_tol: float = steering.STEERING_TIE_TOL,
     block: int = 1 << 14,
 ) -> tuple[float, int]:
-    """Max over assignments of ||sum_j c_j b_j||, smallest index within tie_tol.
+    """Max over assignments A of ||A @ w|| for generators w, smallest index within tie_tol.
 
     The 2**(n-1) assignments with setting 0 = -1 are scored `block`
     assignments at a time, each as high[:, h] + low[:, l] over a table of
-    the first n - lo rows of w = m @ bob and one of the last lo = n // 2, at
-    index (h << lo) | l.
+    the first n - lo rows of w (m @ bob for a functional m) and one of the
+    last lo = n // 2, at index (h << lo) | l.
     """
-    w = np.asarray(m, dtype=np.float64) @ np.asarray(bob, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
     n = len(w)
     lo = n // 2
     high = w[1 : n - lo].T @ _sign_table(n - 1 - lo) - w[0][:, None]
@@ -304,28 +301,3 @@ def exact_lhs(m, bob) -> tuple[Decimal, Decimal]:
         quantum_value = sum(exact_sqrt(sum(x * x for x in wi)) for wi in w)
     return exact_sqrt(best), quantum_value
 
-
-def json_ready(value):
-    """Recursively convert arrays/scalars to JSON-safe values, floats rounded as in CSV."""
-    if isinstance(value, np.ndarray):
-        return json_ready(value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [json_ready(v) for v in value]
-    if isinstance(value, dict):
-        return {k: json_ready(v) for k, v in value.items()}
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return round_sig(value)
-    return value
-
-
-def reference_json(value) -> str:
-    """A document's JSON text as `OutputDocument.to_json` wrote it before its one-walk writer.
-
-    `json_ready`'s rounded copy encoded by `json.dumps(..., indent=2)`: the
-    byte-for-byte reference the writer in `shimony.output` is tested against.
-    """
-    return json.dumps(json_ready(value), indent=2)

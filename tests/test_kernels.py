@@ -6,6 +6,7 @@ as the reference for n <= 20 with its own sign tables.
 """
 
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -46,22 +47,19 @@ def reference_steering(m, bob, tie_tol=steering.STEERING_TIE_TOL):
     return float(norms[index]), index
 
 
-def vertex_max(m, bob) -> tuple[float, int]:
-    """The sweep's witness on w = m @ bob: its norm and enumeration index.
+def core_tie_tol(w, tie_tol=steering.STEERING_TIE_TOL) -> float:
+    """tie_tol in w's units, narrower where w's largest entry is below 1.
 
-    As in steering._generators, the row norms are np.linalg.norm's, rows of
-    norm 0 take -1, and the sweep solves the rest with their norms.
+    The core applies tie_tol to w scaled up by a power of two until that entry is at least 1.
     """
-    m = np.asarray(m)
-    w = m.astype(np.float64) @ np.asarray(bob, dtype=np.float64)
-    norms = np.linalg.norm(w, axis=1)
-    kept = norms > 0
-    alice = -np.ones(len(w), dtype=np.int64)
-    if kept.any():
-        alice[kept] = steering._lhs_witness(w[kept], norms[kept])
+    return math.ldexp(tie_tol, min(0, math.frexp(np.abs(w).max())[1] - 1))
+
+
+def vertex_max(w) -> tuple[float, int]:
+    """The core's value and witness on the generators w, the witness as its enumeration index."""
+    value, alice, _, _ = steering.zonotope_bound(w)
     assert alice.dtype == np.int64 and np.all(np.abs(alice) == 1)
-    index = int("".join("1" if a > 0 else "0" for a in alice), 2)
-    return float(np.linalg.norm((alice @ m).astype(np.float64) @ bob)), index
+    return value, int("".join("1" if a > 0 else "0" for a in alice), 2)
 
 
 def random_int_matrix(rng, n):
@@ -101,8 +99,10 @@ def assert_lhv_matches(m):
 def assert_steering_matches(
     m, bob, tie_tol=steering.STEERING_TIE_TOL, brute_force=True, block=1 << 14
 ):
-    value, index = vertex_max(m, bob)
-    kernel_value, kernel_index = steering_max(m, bob, tie_tol, block=block)
+    w = np.asarray(m) @ np.asarray(bob, dtype=np.float64)
+    tie_tol = core_tie_tol(w, tie_tol)
+    value, index = vertex_max(w)
+    kernel_value, kernel_index = steering_max(w, tie_tol, block=block)
     assert index == kernel_index
     assert value == pytest.approx(kernel_value, abs=1e-9)
     if brute_force:
@@ -110,6 +110,20 @@ def assert_steering_matches(
         assert index == ref_index
         assert value == pytest.approx(ref_value, abs=1e-9)
     assert index < 1 << (len(m) - 1)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_core_matches_the_2n_maximum_on_gaussian_generators_of_mixed_scale(seed):
+    # Real generators that are no m @ bob: Gaussian rows, each scaled by 2**k
+    # with k spread over 24 octaves around a common 2**-80 .. 2**40, so that
+    # more than half the sets have every entry below 1 and are prescaled.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 17))
+    w = rng.standard_normal((n, 3)) * np.exp2(rng.integers(-12, 13, (n, 1)) + rng.integers(-80, 41))
+    value, index = vertex_max(w)
+    kernel_value, kernel_index = steering_max(w, core_tie_tol(w))
+    assert index == kernel_index
+    assert value == pytest.approx(kernel_value, rel=4 * n * np.finfo(np.float64).eps, abs=0)
 
 
 @pytest.mark.parametrize("n", range(2, 18, 2))
@@ -390,11 +404,11 @@ def test_lhv_tie_break_prefers_smallest_index():
 def test_steering_tie_break_prefers_smallest_index():
     m = build_as_matrix(2)
     bob = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    value, index = vertex_max(m, bob)
+    value, index = vertex_max(m @ bob)
     assert index == 0
     assert value == pytest.approx(2.0, abs=1e-12)
-    assert vertex_max(np.array([[-2]]), np.array([[0.0, 1.0, 0.0]])) == (2.0, 0)
-    assert vertex_max(np.zeros((1, 1), dtype=np.int64), bob[:1]) == (0.0, 0)
+    assert vertex_max([[0.0, -2.0, 0.0]]) == (2.0, 0)
+    assert vertex_max(np.zeros((1, 3))) == (0.0, 0)
 
 
 def test_backend_name_consistent_with_dispatch():
@@ -461,7 +475,7 @@ def test_nearly_antiparallel_rows_keep_both_signs():
     bob = np.array([[-0.13493955, -0.79757853, 0.5879284], [-0.13493958, -0.79757853, 0.5879284]])
     bob /= np.linalg.norm(bob, axis=1, keepdims=True)
     assert_steering_matches(m, bob)
-    assert vertex_max(m, bob)[0] == pytest.approx(6.0, rel=1e-12)
+    assert vertex_max(m @ bob)[0] == pytest.approx(6.0, rel=1e-12)
 
 
 def test_parallel_chains_merge_into_one_group():

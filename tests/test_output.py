@@ -1,7 +1,13 @@
-"""The one-walk JSON writer against the `json_ready` + `json.dumps` path it replaced."""
+"""`json_text` read back by `json.loads`, and what it refuses.
+
+A document reads back as its own values: floats rounded by `round_sig` (NaN
+and the infinities included), numpy scalars as the Python scalars they hold,
+and tuples and arrays as lists.
+"""
 
 import collections
 import enum
+import json
 import math
 
 import numpy as np
@@ -10,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from helpers import reference_json
-from shimony.output import json_text
+from shimony.output import json_text, round_sig
 
 SPECIAL_FLOATS = [
     math.nan,
@@ -60,19 +65,50 @@ documents = st.recursive(
 )
 
 
+def reads_back(loaded, value) -> bool:
+    """Whether `json.loads` gave loaded for value: floats compared by repr, so NaN and -0.0 too."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return (
+            type(loaded) is list
+            and len(loaded) == len(value)
+            and all(map(reads_back, loaded, value))
+        )
+    if isinstance(value, dict):
+        return (
+            type(loaded) is dict
+            and list(loaded) == list(value)
+            and all(map(reads_back, loaded.values(), value.values()))
+        )
+    if isinstance(value, (float, np.floating)):
+        return type(loaded) is float and repr(loaded) == repr(round_sig(value))
+    if isinstance(value, (bool, np.bool_)):
+        return loaded is bool(value)
+    if isinstance(value, (int, np.integer)):
+        return type(loaded) is int and loaded == int(value)
+    return type(loaded) is type(value) and loaded == value
+
+
 @settings(max_examples=400, deadline=None)
 @given(documents)
-def test_writer_matches_the_reference_bytes(document):
-    assert json_text(document) == reference_json(document)
+def test_documents_read_back_as_their_rounded_values(document):
+    assert reads_back(json.loads(json_text(document)), document)
 
 
 @pytest.mark.parametrize("value", SPECIAL_FLOATS + SPECIAL_STRINGS + [[], {}, (), [[]], {"": {}}])
 def test_writer_matches_the_reference_on_edge_values(value):
     document = {"value": value, "row": [value, value]}
-    assert json_text(document) == reference_json(document)
+    text = json_text(document)
+    assert reads_back(json.loads(text), document)
+    assert text == json.dumps(json.loads(text), indent=2)
 
 
 class _Text(str):
+    pass
+
+
+class _Real(float):
     pass
 
 
@@ -85,7 +121,7 @@ class _View(np.ndarray):
 
 
 # The writer dispatches on exact types, so a subclass of a type it writes is
-# refused too: a namedtuple, an OrderedDict, a str or int subclass, an array view.
+# refused too: a namedtuple, an OrderedDict, a str, float or int subclass, an array view.
 @pytest.mark.parametrize(
     "value",
     [
@@ -97,6 +133,7 @@ class _View(np.ndarray):
         collections.namedtuple("Pair", "a b")(1, 2),
         collections.OrderedDict(a=1),
         _Text("a"),
+        _Real(0.5),
         _Level.ONE,
         np.arange(3.0).view(_View),
     ],
@@ -109,6 +146,7 @@ class _View(np.ndarray):
         "namedtuple",
         "OrderedDict",
         "str subclass",
+        "float subclass",
         "IntEnum member",
         "ndarray subclass view",
     ],

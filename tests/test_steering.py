@@ -22,7 +22,7 @@ from helpers import (
     underflow_bob_set,
     visibility_lhv_closed_form,
 )
-from shimony.catalog import catalog_directions
+from shimony.catalog import SUPPORTED_SETTINGS, catalog_directions
 from shimony.matrices import (
     MAX_STEERING_SETTINGS,
     ResourceLimitError,
@@ -30,14 +30,17 @@ from shimony.matrices import (
     lhv_bound_bruteforce,
     lhv_bound_closed_form,
 )
-from shimony.quantum import bell_quantum_value, max_quantum_closed_form
+from shimony.quantum import as_measurement_set, bell_quantum_value, max_quantum_closed_form
 from shimony.seesaw import alice_best_response, random_measurement_set
 from shimony.steering import (
     QUANTUM_VALUE_GUARD,
     STEERING_TIE_TOL,
+    OracleBracket,
     steering_lhs_bound,
     steering_lhs_bound_oracle,
     werner_thresholds,
+    zonotope_bound,
+    zonotope_bracket,
 )
 
 SURDS = {
@@ -246,7 +249,7 @@ def test_witness_reads_the_row_norms_of_the_generator_set():
     norms = np.linalg.norm(w, axis=1)
     assert np.count_nonzero(np.sqrt(np.einsum("ij,ij->i", w, w)) != norms) >= 3
     result = steering_lhs_bound(m, bob)
-    value, index = steering_max(m, bob)
+    value, index = steering_max(w)
     assert result.alice_witness.tolist() == [1 if c == "1" else -1 for c in f"{index:06b}"]
     assert result.value == pytest.approx(value, rel=1e-15, abs=0)
     assert result.quantum_value == norms.sum()
@@ -340,6 +343,119 @@ def test_resource_cap():
         steering_lhs_bound(build_as_matrix(n), bob)
     with pytest.raises(ResourceLimitError, match=message):
         steering_lhs_bound_oracle(build_as_matrix(n), bob)
+
+
+@pytest.mark.parametrize(
+    "w, error",
+    [
+        ([[0.0, np.nan, 1.0]], ValueError),
+        ([[np.inf, 0.0, 0.0]], ValueError),
+        ([[1.0, 0.0, 0.0], [0.0, -np.inf, 0.0]], ValueError),
+        ([[2.0**500, 0.0, 0.0]], ValueError),
+        ([[1.0, 0.0]], ValueError),
+        ([1.0, 0.0, 0.0], ValueError),
+        (np.zeros((0, 3)), ValueError),
+        (np.zeros((2, 3, 1)), ValueError),
+        ([["1", "0", "0"]], ValueError),
+        (np.ones((MAX_STEERING_SETTINGS + 1, 3)), ResourceLimitError),
+    ],
+    ids=["nan", "inf", "-inf", "2**500", "two columns", "one row flat", "no rows", "3-d",
+         "strings", "over the cap"],
+)
+def test_the_core_refuses_bad_generators(w, error):
+    for core in (zonotope_bound, zonotope_bracket):
+        with pytest.raises(error, match="generators w|cap of 300"):
+            core(w)
+
+
+def _split_corpus():
+    """Seeded (m, bob): AS_n or random integer m, over five kinds of Bob set.
+
+    Random, coplanar, repeated, {-1, 0, 1}-lattice, and zero-row sets, where
+    a quarter of m's rows are 0 and AS_n's last row of w, b_1 - b_2, is
+    (0, 1e-300, 0), whose squares round to 0.
+    """
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = 2 * int(rng.integers(1, 16))
+        m = build_as_matrix(n).copy() if seed % 2 else rng.integers(-3, 4, size=(n, n))
+        kind = ["random", "coplanar", "repeated", "lattice", "zero-row"][seed // 2 % 5]
+        bob = random_unit_rows(rng, n)
+        if kind == "coplanar":
+            bob[:, 2] = 0.0
+        elif kind == "repeated":
+            bob[:] = bob[0]
+        elif kind == "lattice":
+            bob = rng.integers(-1, 2, size=(n, 3)).astype(np.float64)
+            bob[~bob.any(axis=1)] = [0.0, 0.0, 1.0]
+        elif kind == "zero-row":
+            bob = underflow_bob_set(rng, n)
+            m[rng.choice(n, n // 4, replace=False)] = 0
+        yield pytest.param(m, scaled_to_unit(bob), id=f"{seed}-{kind}-n{n}")
+
+
+@pytest.mark.parametrize("m, bob", _split_corpus())
+def test_the_m_bob_entries_are_the_core_on_m_at_bob(m, bob):
+    # Bit for bit: the entries only validate m and bob, which renormalizes
+    # bob's rows, and add column_sums.
+    result = steering_lhs_bound(m, bob)
+    w = m.astype(np.float64) @ as_measurement_set(bob)
+    value, alice, direction, quantum_value = zonotope_bound(w)
+    assert result.value == value and result.quantum_value == quantum_value
+    assert result.alice_witness.dtype == alice.dtype == np.int64
+    assert np.array_equal(result.alice_witness, alice)
+    assert result.bob_state_direction.tobytes() == direction.tobytes()
+    assert steering_lhs_bound_oracle(m, bob) == zonotope_bracket(w)
+
+
+def _scale_corpus():
+    """The catalog's Bob sets under AS_n, and random ones under AS_n and random integer m."""
+    for n in SUPPORTED_SETTINGS:
+        bob = catalog_directions(n).bob_directions
+        yield pytest.param(build_as_matrix(n), bob, id=f"catalog-{n}")
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        n = 2 * int(rng.integers(1, 11))
+        m = build_as_matrix(n) if seed % 2 else rng.integers(-3, 4, size=(n, n))
+        yield pytest.param(m, random_unit_rows(rng, n), id=f"random-{seed}-n{n}")
+
+
+@pytest.mark.parametrize("m, bob", _scale_corpus())
+def test_the_core_scales_exactly_by_a_power_of_two(m, bob):
+    # w * 2**-200 has every entry below 1, so the core scales it back up by a
+    # power of two; every figure comes out scaled by exactly 2**-200.
+    w = m @ bob
+    value, alice, direction, quantum_value = zonotope_bound(w)
+    small = zonotope_bound(np.ldexp(w, -200))
+    assert np.array_equal(small[1], alice)
+    assert small[0] == math.ldexp(value, -200) and small[3] == math.ldexp(quantum_value, -200)
+    assert np.array_equal(small[2], direction)
+    bracket = zonotope_bracket(w)
+    assert zonotope_bracket(np.ldexp(w, -200)) == OracleBracket(
+        math.ldexp(bracket.lower, -200), math.ldexp(bracket.upper, -200)
+    )
+
+
+@pytest.mark.parametrize(
+    "m, bob, witness",
+    [
+        # Every assignment's norm is below STEERING_TIE_TOL until w is prescaled.
+        ([[-3, 3], [1, -1]], [[1.0, 0.0, 0.0], [1.0, 0.0, 1e-13]], [-1, 1]),
+        # The squares of w's entries are subnormal until w is prescaled.
+        (
+            [[-1, 0, -1, 2], [0] * 4, [0] * 4, [0] * 4],
+            [[1.0, 0.0, 3.70331939899465e-161]] + [[1.0, 0.0, 0.0]] * 3,
+            [-1, -1, -1, -1],
+        ),
+    ],
+    ids=["below-the-tie-window", "subnormal-squares"],
+)
+def test_generators_below_1_give_the_exact_bound(m, bob, witness):
+    exact, quantum_value = map(float, exact_lhs(m, bob))
+    result = steering_lhs_bound(m, bob)
+    assert result.alice_witness.tolist() == witness
+    assert (result.value, result.quantum_value) == (exact, quantum_value)
+    assert steering_lhs_bound_oracle(m, bob) == OracleBracket(exact, exact)
 
 
 def test_memory_at_the_cap_is_bounded():
@@ -487,17 +603,14 @@ def thin_cell_inputs(draw):
     Bob's directions cluster around one axis with a drawn spread, so rows of
     w = m @ bob are nearly parallel and zero-sum rows of m give short rows of
     w. Rows e_j - e_k over nearly equal b_j, b_k have norm about 1e-13; zero
-    rows, the all-zero matrix and coplanar sets are drawn too. Row 0 stays all
-    ones, as in AS_n, so the bound stays far above STEERING_TIE_TOL: that
-    tolerance is absolute, and below it every assignment ties and the
-    witness, the smallest, need not be a maximizer. Rows of w that all cancel
-    are the explicit examples' case. Every number is drawn through
+    rows, the all-zero matrix and coplanar sets are drawn too, so every entry
+    of w may lie far below 1, where the core prescales it. Rows of w that all
+    cancel are the explicit examples' case. Every number is drawn through
     Hypothesis, each row's numbers together, and the arrays are returned as
     lists, so a failure shrinks row by row and replays as printed.
     """
     m, offsets = square_rows(draw, DIRECTION_ROW)
     n = len(m)
-    m[0] = 1
     spread = draw(st.sampled_from([1.0, 1e-3, 1e-7, 1e-13]))
     bob = scaled_to_unit(draw(direction_rows(1))) + spread * np.array(offsets)
     eye = np.eye(n, dtype=np.int64)
@@ -539,9 +652,8 @@ def _pairs_1e13_apart():
     """Rows e_j - e_k over Bob directions 1e-13 apart, as thin_cell_inputs builds them.
 
     The three pairs cluster around one direction and are offset along x, so
-    the rows of w point nearly one way. Every assignment is within
-    STEERING_TIE_TOL of the maximum, so the witness is all -1, which is also
-    the maximizer.
+    the rows of w point nearly one way, and the witness is all -1, the
+    maximizer.
     """
     rng = np.random.default_rng(0)
     bob = np.repeat(scaled_to_unit([0.0, 0.6, 0.8] + 1e-3 * random_unit_rows(rng, 3)), 2, axis=0)
